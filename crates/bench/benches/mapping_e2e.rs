@@ -5,8 +5,9 @@
 use bench::WorkloadSpec;
 use criterion::{criterion_group, criterion_main, Criterion};
 use gnumap_core::accum::{CharDiscAccumulator, GenomeAccumulator, NormAccumulator};
+use gnumap_core::mapping::AlignScratch;
 use gnumap_core::mapping::MappingEngine;
-use gnumap_core::pipeline::accumulate_reads;
+use gnumap_core::pipeline::accumulate_reads_with;
 use gnumap_core::GnumapConfig;
 use std::hint::black_box;
 
@@ -50,13 +51,23 @@ fn bench_pipeline_modes(c: &mut Criterion) {
     group.bench_function("norm", |b| {
         b.iter(|| {
             let mut acc = NormAccumulator::new(w.reference.len());
-            black_box(accumulate_reads(&engine, &w.reads, &mut acc))
+            black_box(accumulate_reads_with(
+                &engine,
+                &w.reads,
+                &mut acc,
+                &mut AlignScratch::new(),
+            ))
         })
     });
     group.bench_function("chardisc", |b| {
         b.iter(|| {
             let mut acc = CharDiscAccumulator::new(w.reference.len());
-            black_box(accumulate_reads(&engine, &w.reads, &mut acc))
+            black_box(accumulate_reads_with(
+                &engine,
+                &w.reads,
+                &mut acc,
+                &mut AlignScratch::new(),
+            ))
         })
     });
     group.finish();

@@ -16,7 +16,8 @@ use genome::alphabet::Base;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::{GenomeAccumulator, NormAccumulator};
-use gnumap_core::pipeline::accumulate_reads;
+use gnumap_core::mapping::AlignScratch;
+use gnumap_core::pipeline::accumulate_reads_with;
 use gnumap_core::GnumapConfig;
 use gnumap_core::MappingEngine;
 use pairhmm::forward::forward;
@@ -147,7 +148,12 @@ fn main() {
     let n_reads = wl.reads.len() as u64;
     let (per_sec, iters) = measure(window.max(0.1), n_reads, || {
         let mut acc = NormAccumulator::new(wl.reference.len());
-        black_box(accumulate_reads(&engine, &wl.reads, &mut acc));
+        black_box(accumulate_reads_with(
+            &engine,
+            &wl.reads,
+            &mut acc,
+            &mut AlignScratch::new(),
+        ));
     });
     results.push(Measurement {
         name: "pipeline_e2e_reads_per_sec",

@@ -82,17 +82,9 @@ fn run_phase(
                     .open_session(SessionConfig::default())
                     .expect("open session");
                 for piece in part.chunks(chunk) {
-                    // submit_timeout is generous, so Busy should not
-                    // surface; retry defensively anyway.
-                    loop {
-                        match client.submit_reads(session, piece) {
-                            Ok(_) => break,
-                            Err(err) if err.is_kind(server::ErrorKind::Busy) => {
-                                thread::sleep(Duration::from_millis(20));
-                            }
-                            Err(err) => panic!("submit failed: {err}"),
-                        }
-                    }
+                    client
+                        .submit_reads_retrying(session, piece)
+                        .expect("submit");
                 }
                 let result = client.finalize(session, 600_000).expect("finalize");
                 assert_eq!(result.reads_processed, part.len() as u64);

@@ -156,6 +156,31 @@ impl AccumulatorMode {
     }
 }
 
+/// A computation generic over the accumulator layout.
+/// [`AccumulatorMode::dispatch`] runs it with the concrete type a mode
+/// names, so drivers write their body once, generically, and never match
+/// on the mode themselves.
+pub trait WithAccumulator {
+    /// What the computation returns.
+    type Output;
+
+    /// Run with accumulator type `A`.
+    fn run<A: GenomeAccumulator>(self) -> Self::Output;
+}
+
+impl AccumulatorMode {
+    /// Run `work` with this mode's accumulator type — the one place a
+    /// mode turns into a type.
+    pub fn dispatch<W: WithAccumulator>(self, work: W) -> W::Output {
+        match self {
+            AccumulatorMode::Norm => work.run::<NormAccumulator>(),
+            AccumulatorMode::CharDisc => work.run::<CharDiscAccumulator>(),
+            AccumulatorMode::CentDisc => work.run::<CentDiscAccumulator>(),
+            AccumulatorMode::Fixed => work.run::<FixedAccumulator>(),
+        }
+    }
+}
+
 impl std::fmt::Display for AccumulatorMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())

@@ -1,31 +1,8 @@
-//! Parallel drivers for the pipeline.
+//! The call-wire codec the distributed drivers ship SNP calls with.
 //!
-//! Four execution strategies over the same algorithm:
-//!
-//! * [`rayon_driver`] — shared-memory threads with deterministic
-//!   chunk-ordered reduction (the "shared memory platform" of the
-//!   abstract);
-//! * [`read_split`] — the paper's first MPI decomposition: every rank
-//!   holds the full genome + index + accumulator, reads are partitioned,
-//!   accumulators are reduced at the end ("each machine will process the
-//!   entire genome, then map a different portion of the reads");
-//! * [`genome_split`] — the paper's second MPI decomposition: the genome
-//!   (index + accumulator) is sharded, every read is scored on every
-//!   shard, and per-read normalising constants travel by allreduce ("the
-//!   genome is split into equal segments ... communication between
-//!   machines determines \[the\] additional locations and calculates the
-//!   final score"). Lower memory per rank, more communication — the
-//!   Figure 4 trade-off.
-//!
-//! The serial pipeline lives in [`crate::pipeline`]. A fourth parallel
-//! driver — the streaming batch pipeline with backpressure, sharded
-//! accumulators and checkpoint/resume — lives in the `exec` crate, which
-//! builds on the call-wire helpers and [`crate::report::StreamStats`]
-//! defined here.
-
-pub mod genome_split;
-pub mod rayon_driver;
-pub mod read_split;
+//! The drivers themselves live in the `engine` crate, one `Driver` per
+//! execution mode; each MPI-style driver encodes its rank's calls with
+//! [`encode_calls`] and decodes them at rank 0 with [`decode_calls`].
 
 use crate::snpcall::SnpCall;
 use genome::alphabet::Base;

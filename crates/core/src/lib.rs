@@ -16,10 +16,11 @@
 //!    above background and reports SNPs against the reference, with
 //!    p-value or FDR cutoffs ([`snpcall`]).
 //!
-//! Four drivers run the pipeline ([`driver`]): serial, shared-memory
-//! (rayon), and the paper's two MPI decompositions (read-split and
-//! genome-split) on the `mpisim` runtime. All four produce identical calls
-//! for the NORM accumulator on the same input.
+//! [`pipeline`] holds the serial reference run and the one map → deposit
+//! body every execution mode calls. The parallel drivers — shared-memory
+//! threads, the paper's two MPI decompositions on the `mpisim` runtime,
+//! the streaming engine and the server — sit behind one `Driver` contract
+//! in the `engine` crate; [`driver`] keeps the call-wire codec they share.
 
 pub mod accum;
 pub mod config;

@@ -4,11 +4,11 @@
 //! The design goal is *zero cost when disabled*: an [`Observer`] is a
 //! single `Option<Arc<dyn EventSink>>`, [`Observer::emit`] takes a closure
 //! so no event is ever constructed (and nothing allocates) unless a sink
-//! is attached, and the hot read loop keeps its plain un-instrumented
-//! path when the observer is disabled. With a sink attached, drivers emit
-//! a small vocabulary of [`Event`]s — per-stage wall/CPU timings,
-//! reads-per-batch, candidate counts, deposit volumes — which the CLI can
-//! spool to a JSON-lines trace file (`--trace-json`), the server folds
+//! is attached; the hot read loop's work counters are plain integer adds
+//! that feed an event only when one is wanted. With a sink attached,
+//! drivers emit a small vocabulary of [`Event`]s — per-stage wall/CPU
+//! timings, reads-per-batch, kept-alignment counts, deposit volumes —
+//! which the CLI can spool to a JSON-lines trace file (`--trace-json`), the server folds
 //! into its `Stats` frame, and the streaming engine stamps onto
 //! checkpoint records.
 //!
@@ -18,6 +18,7 @@
 //! Rust's shortest round-trip formatting; non-finite values are sanitised
 //! to `0.0` so the output is always valid JSON).
 
+use crate::accum::AccumulatorMode;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -79,8 +80,9 @@ pub enum Event {
         stage: Stage,
         /// Wall-clock seconds spent in the stage.
         wall_secs: f64,
-        /// Thread CPU seconds spent in the stage (0 when the platform
-        /// clock is unavailable).
+        /// Process CPU seconds spent during the stage, summed over every
+        /// thread — including workers that exited before the stage ended
+        /// (0 when the platform clock is unavailable).
         cpu_secs: f64,
     },
     /// A worker finished one batch of reads.
@@ -91,8 +93,9 @@ pub enum Event {
         reads: u64,
         /// Reads that produced at least one alignment.
         mapped: u64,
-        /// Candidate alignments scored by the Pair-HMM.
-        candidates: u64,
+        /// Kept alignments (those surviving the posterior-weight filter),
+        /// each deposited into the accumulator.
+        kept: u64,
         /// Posterior columns deposited into the accumulator.
         deposited_columns: u64,
     },
@@ -146,6 +149,14 @@ fn put_f64(out: &mut String, v: f64) {
 }
 
 impl Event {
+    /// The [`Event::RunStart`] of `driver` running with accumulator `mode`.
+    pub fn run_start(driver: &str, mode: AccumulatorMode) -> Event {
+        Event::RunStart {
+            driver: driver.into(),
+            accumulator: mode.name().into(),
+        }
+    }
+
     /// The event's discriminant as it appears in the `event` JSON field.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -192,13 +203,13 @@ impl Event {
                 worker,
                 reads,
                 mapped,
-                candidates,
+                kept,
                 deposited_columns,
             } => {
                 let _ = write!(
                     s,
                     ",\"worker\":{worker},\"reads\":{reads},\"mapped\":{mapped},\
-                     \"candidates\":{candidates},\"deposited_columns\":{deposited_columns}"
+                     \"kept\":{kept},\"deposited_columns\":{deposited_columns}"
                 );
             }
             Event::Checkpoint {
@@ -281,7 +292,7 @@ impl Event {
                 worker: get_u64("worker")?,
                 reads: get_u64("reads")?,
                 mapped: get_u64("mapped")?,
-                candidates: get_u64("candidates")?,
+                kept: get_u64("kept")?,
                 deposited_columns: get_u64("deposited_columns")?,
             },
             "checkpoint" => Event::Checkpoint {
@@ -559,17 +570,18 @@ pub struct StageTimer {
 }
 
 impl StageTimer {
-    /// Emit `StageStart` and start the clocks. The CPU clock lives in
-    /// procfs and reading it allocates, so it is only consulted when a
-    /// sink is attached — a disabled observer's timer touches nothing
-    /// but the (allocation-free) monotonic clock.
+    /// Emit `StageStart` and start the clocks. The CPU clock is the whole
+    /// process's (so worker threads' CPU counts toward the stage); it
+    /// lives in procfs and reading it allocates, so it is only consulted
+    /// when a sink is attached — a disabled observer's timer touches
+    /// nothing but the (allocation-free) monotonic clock.
     pub fn start(observer: &Observer, stage: Stage) -> StageTimer {
         observer.emit(|| Event::StageStart { stage });
         StageTimer {
             stage,
             wall: Instant::now(),
             cpu_start: if observer.is_enabled() {
-                mpisim::thread_cpu_seconds()
+                mpisim::process_cpu_seconds()
             } else {
                 None
             },
@@ -581,7 +593,7 @@ impl StageTimer {
         observer.emit(|| Event::StageEnd {
             stage: self.stage,
             wall_secs: self.wall.elapsed().as_secs_f64(),
-            cpu_secs: match (self.cpu_start, mpisim::thread_cpu_seconds()) {
+            cpu_secs: match (self.cpu_start, mpisim::process_cpu_seconds()) {
                 (Some(a), Some(b)) => (b - a).max(0.0),
                 _ => 0.0,
             },
@@ -609,7 +621,7 @@ mod tests {
                 worker: 3,
                 reads: 256,
                 mapped: 250,
-                candidates: 612,
+                kept: 612,
                 deposited_columns: 15_000,
             },
             Event::Checkpoint {
@@ -671,7 +683,7 @@ mod tests {
             "{}",
             "not json",
             r#"{"event":"mystery"}"#,
-            r#"{"event":"batch","worker":-1,"reads":0,"mapped":0,"candidates":0,"deposited_columns":0}"#,
+            r#"{"event":"batch","worker":-1,"reads":0,"mapped":0,"kept":0,"deposited_columns":0}"#,
             r#"{"event":"run_start","driver":"x"}"#,
             r#"{"event":"stage_start","stage":"warp"}"#,
             r#"{"event":"run_end","reads_processed":1,"reads_mapped":1,"calls":0,"wall_secs":0.1} trailing"#,
@@ -713,6 +725,39 @@ mod tests {
             .map(|l| Event::parse_json_line(l).unwrap())
             .collect();
         assert_eq!(parsed, sample_events());
+    }
+
+    #[test]
+    fn stage_timer_counts_every_thread_cpu() {
+        fn burn(secs: f64) -> f64 {
+            let timer = mpisim::ThreadCpuTimer::start();
+            let mut x = 1u64;
+            while timer.elapsed() < secs {
+                for i in 0..100_000u64 {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+                }
+                std::hint::black_box(x);
+            }
+            timer.elapsed()
+        }
+        let sink = Arc::new(MemorySink::new());
+        let obs = Observer::new(sink.clone());
+        let stage = StageTimer::start(&obs, Stage::Map);
+        let workers: Vec<_> = (0..2).map(|_| std::thread::spawn(|| burn(0.25))).collect();
+        let worker_cpu: f64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        stage.finish(&obs);
+        let cpu = sink
+            .take()
+            .iter()
+            .find_map(|e| match e {
+                Event::StageEnd { cpu_secs, .. } => Some(*cpu_secs),
+                _ => None,
+            })
+            .unwrap();
+        assert!(
+            cpu >= 0.8 * worker_cpu,
+            "stage CPU {cpu:.3}s hides worker CPU {worker_cpu:.3}s"
+        );
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The serial end-to-end pipeline: index → map → accumulate → call.
 //!
-//! This is the reference implementation the parallel drivers must agree
-//! with; it is also what the per-rank workers of the read-split driver run
-//! internally.
+//! [`run_pipeline`] is the reference implementation every parallel
+//! driver must agree with. [`accumulate_reads_with`] is the one
+//! map → deposit body every driver's hot loop calls, whatever its
+//! evidence sink: a plain accumulator (serial, rayon, read-split), the
+//! stream driver's sharded accumulator, or a server session.
 
-use crate::accum::{
-    AccumulatorMode, CentDiscAccumulator, CharDiscAccumulator, FixedAccumulator, GenomeAccumulator,
-    NormAccumulator,
-};
+use crate::accum::{GenomeAccumulator, WithAccumulator};
 use crate::config::GnumapConfig;
 use crate::mapping::{AlignScratch, MappingEngine};
 use crate::observe::{Event, Observer, Stage, StageTimer};
@@ -15,91 +14,107 @@ use crate::report::RunReport;
 use crate::snpcall::call_snps;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
+use pairhmm::marginal::ColumnPosterior;
 use std::time::Instant;
 
-/// Reads per [`Event::Batch`] when a driver without natural batching (the
-/// serial pipeline, the per-rank MPI loops) runs under an enabled
-/// observer.
-pub const OBSERVED_BATCH_READS: usize = 256;
+/// Reads per [`Event::Batch`] for drivers without natural batching (the
+/// serial pipeline and the rayon workers).
+pub const BATCH_READS: usize = 256;
 
-/// Map `reads` with `engine` and deposit their weighted evidence into
-/// `acc`. Returns the number of reads that produced at least one
-/// alignment.
-pub fn accumulate_reads<A: GenomeAccumulator>(
-    engine: &MappingEngine<'_>,
-    reads: &[SequencedRead],
-    acc: &mut A,
-) -> usize {
-    let mut scratch = AlignScratch::new();
-    accumulate_reads_with(engine, reads, acc, &mut scratch)
+/// Where the map → deposit body puts each kept alignment's weighted
+/// posterior columns.
+pub trait EvidenceSink {
+    /// Deposit one alignment's columns, starting at `window_start`,
+    /// scaled by its posterior `weight`.
+    fn deposit(&mut self, window_start: usize, weight: f64, columns: &[ColumnPosterior]);
 }
 
-/// [`accumulate_reads`] with a caller-provided [`AlignScratch`], so a
-/// worker thread can reuse one arena across many batches. Alignments are
-/// deposited straight out of the scratch — no per-read `Vec` of owned
-/// alignments is ever materialised.
-pub fn accumulate_reads_with<A: GenomeAccumulator>(
-    engine: &MappingEngine<'_>,
-    reads: &[SequencedRead],
-    acc: &mut A,
-    scratch: &mut AlignScratch,
-) -> usize {
-    let mut mapped = 0usize;
-    for read in reads {
-        engine.map_read_with(read, scratch);
-        if !scratch.is_empty() {
-            mapped += 1;
-        }
-        for aln in scratch.alignments() {
-            deposit(acc, aln.window_start, aln.score, aln.columns);
+impl<A: GenomeAccumulator> EvidenceSink for A {
+    fn deposit(&mut self, window_start: usize, weight: f64, columns: &[ColumnPosterior]) {
+        deposit(self, window_start, weight, columns);
+    }
+}
+
+/// Work counts of one [`accumulate_reads_with`] call, from which every
+/// driver that calls it builds its [`Event::Batch`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchCounts {
+    /// Reads mapped.
+    pub reads: u64,
+    /// Reads that produced at least one kept alignment.
+    pub mapped: u64,
+    /// Kept alignments (those surviving the posterior-weight filter), each
+    /// deposited into the sink.
+    pub kept: u64,
+    /// Posterior columns of the kept alignments.
+    pub deposited_columns: u64,
+}
+
+impl BatchCounts {
+    /// The [`Event::Batch`] reporting these counts for `worker`.
+    pub fn event(self, worker: usize) -> Event {
+        Event::Batch {
+            worker: worker as u64,
+            reads: self.reads,
+            mapped: self.mapped,
+            kept: self.kept,
+            deposited_columns: self.deposited_columns,
         }
     }
-    mapped
 }
 
-/// [`accumulate_reads_with`] plus per-batch [`Event::Batch`] emission.
-///
-/// When the observer is disabled this *is* the plain hot loop — same code
-/// path, no counters, no events — so instrumentation costs nothing unless
-/// a sink is attached. When enabled, reads are walked in
-/// [`OBSERVED_BATCH_READS`] slices (same read order, so deposit order and
-/// digests are unchanged) and each slice emits one event carrying read /
-/// mapped / candidate / deposited-column counts for `worker`.
-pub fn accumulate_reads_observed<A: GenomeAccumulator>(
+impl std::ops::AddAssign for BatchCounts {
+    fn add_assign(&mut self, other: BatchCounts) {
+        self.reads += other.reads;
+        self.mapped += other.mapped;
+        self.kept += other.kept;
+        self.deposited_columns += other.deposited_columns;
+    }
+}
+
+/// The map → deposit body: map each read with `engine` and deposit its
+/// kept alignments into `sink`, straight out of the caller's reusable
+/// `scratch` — no per-read `Vec` of owned alignments is materialised.
+/// `reads` is any iterator of borrowed reads, so a rank's strided share
+/// is walked in place.
+pub fn accumulate_reads_with<'r, S: EvidenceSink + ?Sized>(
+    engine: &MappingEngine<'_>,
+    reads: impl IntoIterator<Item = &'r SequencedRead>,
+    sink: &mut S,
+    scratch: &mut AlignScratch,
+) -> BatchCounts {
+    let mut counts = BatchCounts::default();
+    for read in reads {
+        engine.map_read_with(read, scratch);
+        counts.reads += 1;
+        counts.mapped += u64::from(!scratch.is_empty());
+        for aln in scratch.alignments() {
+            counts.kept += 1;
+            counts.deposited_columns += aln.columns.len() as u64;
+            sink.deposit(aln.window_start, aln.score, aln.columns);
+        }
+    }
+    counts
+}
+
+/// [`accumulate_reads_with`] over [`BATCH_READS`]-read slices of
+/// `reads`, emitting one [`Event::Batch`] per slice for `worker`. Read
+/// order (and so deposit order) is unchanged.
+pub fn accumulate_batches<S: EvidenceSink + ?Sized>(
     engine: &MappingEngine<'_>,
     reads: &[SequencedRead],
-    acc: &mut A,
+    sink: &mut S,
     scratch: &mut AlignScratch,
     observer: &Observer,
     worker: usize,
-) -> usize {
-    if !observer.is_enabled() {
-        return accumulate_reads_with(engine, reads, acc, scratch);
+) -> BatchCounts {
+    let mut total = BatchCounts::default();
+    for batch in reads.chunks(BATCH_READS) {
+        let counts = accumulate_reads_with(engine, batch, sink, scratch);
+        observer.emit(|| counts.event(worker));
+        total += counts;
     }
-    let mut mapped_total = 0usize;
-    for batch in reads.chunks(OBSERVED_BATCH_READS) {
-        let (mut mapped, mut candidates, mut columns) = (0u64, 0u64, 0u64);
-        for read in batch {
-            engine.map_read_with(read, scratch);
-            if !scratch.is_empty() {
-                mapped += 1;
-            }
-            for aln in scratch.alignments() {
-                candidates += 1;
-                columns += aln.columns.len() as u64;
-                deposit(acc, aln.window_start, aln.score, aln.columns);
-            }
-        }
-        observer.emit(|| Event::Batch {
-            worker: worker as u64,
-            reads: batch.len() as u64,
-            mapped,
-            candidates,
-            deposited_columns: columns,
-        });
-        mapped_total += mapped as usize;
-    }
-    mapped_total
+    total
 }
 
 /// Deposit one alignment's weighted columns into an accumulator, skipping
@@ -108,7 +123,7 @@ pub fn deposit<A: GenomeAccumulator>(
     acc: &mut A,
     window_start: usize,
     weight: f64,
-    columns: &[pairhmm::marginal::ColumnPosterior],
+    columns: &[ColumnPosterior],
 ) {
     // Clamp the column range once so the hot loop carries no per-column
     // bounds test.
@@ -126,99 +141,81 @@ pub fn deposit<A: GenomeAccumulator>(
     }
 }
 
-/// Run the whole pipeline serially with a specific accumulator type.
-pub fn run_serial_with<A: GenomeAccumulator>(
-    reference: &DnaSeq,
-    reads: &[SequencedRead],
-    config: &GnumapConfig,
-) -> RunReport {
-    run_serial_observed::<A>(reference, reads, config, &Observer::disabled())
-}
-
-/// [`run_serial_with`] with structured observability: per-stage wall/CPU
-/// timings, per-batch counters, and run start/end events.
-pub fn run_serial_observed<A: GenomeAccumulator>(
-    reference: &DnaSeq,
-    reads: &[SequencedRead],
-    config: &GnumapConfig,
-    observer: &Observer,
-) -> RunReport {
-    observer.emit(|| Event::RunStart {
-        driver: "serial".into(),
-        accumulator: config.accumulator.name().into(),
-    });
-    let start = Instant::now();
-    let timer = StageTimer::start(observer, Stage::Index);
-    let engine = MappingEngine::new(reference, config.mapping);
-    timer.finish(observer);
-
-    let mut acc = A::new(reference.len());
-    let mut scratch = AlignScratch::new();
-    let timer = StageTimer::start(observer, Stage::Map);
-    let mapped = accumulate_reads_observed(&engine, reads, &mut acc, &mut scratch, observer, 0);
-    timer.finish(observer);
-
-    let timer = StageTimer::start(observer, Stage::Call);
-    let calls = call_snps(&acc, reference, &config.calling);
-    timer.finish(observer);
-
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    observer.emit(|| Event::RunEnd {
-        reads_processed: reads.len() as u64,
-        reads_mapped: mapped as u64,
-        calls: calls.len() as u64,
-        wall_secs: elapsed_secs,
-    });
-    RunReport {
-        calls,
-        reads_processed: reads.len(),
-        reads_mapped: mapped,
-        elapsed_secs,
-        accumulator_bytes: acc.heap_bytes(),
-        traffic: None,
-        rank_cpu_secs: Vec::new(),
-        stream: None,
-        accumulator_digest: Some(acc.digest()),
-    }
-}
-
-/// Run the whole pipeline serially, dispatching on the configured
-/// accumulator mode.
+/// Run the whole pipeline serially with the configured accumulator
+/// layout, reporting stage timings, per-batch counters, and run
+/// start/end events to `observer`.
 pub fn run_pipeline(
     reference: &DnaSeq,
     reads: &[SequencedRead],
     config: &GnumapConfig,
-) -> RunReport {
-    run_pipeline_observed(reference, reads, config, &Observer::disabled())
-}
-
-/// [`run_pipeline`] with an observer.
-pub fn run_pipeline_observed(
-    reference: &DnaSeq,
-    reads: &[SequencedRead],
-    config: &GnumapConfig,
     observer: &Observer,
 ) -> RunReport {
-    match config.accumulator {
-        AccumulatorMode::Norm => {
-            run_serial_observed::<NormAccumulator>(reference, reads, config, observer)
-        }
-        AccumulatorMode::CharDisc => {
-            run_serial_observed::<CharDiscAccumulator>(reference, reads, config, observer)
-        }
-        AccumulatorMode::CentDisc => {
-            run_serial_observed::<CentDiscAccumulator>(reference, reads, config, observer)
-        }
-        AccumulatorMode::Fixed => {
-            run_serial_observed::<FixedAccumulator>(reference, reads, config, observer)
-        }
+    config.accumulator.dispatch(Serial {
+        reference,
+        reads,
+        config,
+        observer,
+    })
+}
+
+/// [`run_pipeline`]'s arguments, awaiting an accumulator type.
+struct Serial<'a> {
+    reference: &'a DnaSeq,
+    reads: &'a [SequencedRead],
+    config: &'a GnumapConfig,
+    observer: &'a Observer,
+}
+
+impl WithAccumulator for Serial<'_> {
+    type Output = RunReport;
+
+    fn run<A: GenomeAccumulator>(self) -> RunReport {
+        let Serial {
+            reference,
+            reads,
+            config,
+            observer,
+        } = self;
+        observer.emit(|| Event::run_start("serial", config.accumulator));
+        let start = Instant::now();
+        let timer = StageTimer::start(observer, Stage::Index);
+        let engine = MappingEngine::new(reference, config.mapping);
+        timer.finish(observer);
+
+        let mut acc = A::new(reference.len());
+        let timer = StageTimer::start(observer, Stage::Map);
+        let counts = accumulate_batches(
+            &engine,
+            reads,
+            &mut acc,
+            &mut AlignScratch::new(),
+            observer,
+            0,
+        );
+        timer.finish(observer);
+
+        let timer = StageTimer::start(observer, Stage::Call);
+        let calls = call_snps(&acc, reference, &config.calling);
+        timer.finish(observer);
+
+        let report = RunReport {
+            calls,
+            reads_processed: reads.len(),
+            reads_mapped: counts.mapped as usize,
+            elapsed_secs: start.elapsed().as_secs_f64(),
+            accumulator_bytes: acc.heap_bytes(),
+            accumulator_digest: Some(acc.digest()),
+            ..RunReport::default()
+        };
+        observer.emit(|| report.run_end());
+        report
     }
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::accum::NormAccumulator;
+    use crate::accum::{AccumulatorMode, NormAccumulator};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
@@ -227,8 +224,8 @@ pub(crate) mod tests {
         SnpCatalogConfig,
     };
 
-    /// Small but realistic end-to-end fixture shared by driver tests.
-    pub(crate) fn fixture(
+    /// Small but realistic end-to-end fixture.
+    fn fixture(
         genome_len: usize,
         snp_count: usize,
         coverage: f64,
@@ -281,7 +278,12 @@ pub(crate) mod tests {
     #[test]
     fn end_to_end_finds_planted_snps() {
         let (reference, truth, reads) = fixture(6_000, 8, 14.0, 2024);
-        let report = run_pipeline(&reference, &reads, &GnumapConfig::default());
+        let report = run_pipeline(
+            &reference,
+            &reads,
+            &GnumapConfig::default(),
+            &Observer::disabled(),
+        );
         assert!(report.reads_mapped as f64 > reads.len() as f64 * 0.95);
 
         let accuracy = crate::report::score_snp_calls(&report.calls, &truth);
@@ -315,7 +317,12 @@ pub(crate) mod tests {
             &mut rng,
         );
         let reads: Vec<_> = sim.into_iter().map(|r| r.read).collect();
-        let report = run_pipeline(&reference, &reads, &GnumapConfig::default());
+        let report = run_pipeline(
+            &reference,
+            &reads,
+            &GnumapConfig::default(),
+            &Observer::disabled(),
+        );
         assert!(
             report.calls.len() <= 2,
             "α=0.05 on a clean genome should produce almost nothing: {}",
@@ -328,15 +335,13 @@ pub(crate) mod tests {
         use crate::observe::MemorySink;
         use std::sync::Arc;
         let (reference, _, reads) = fixture(3_000, 4, 10.0, 42);
-        let cfg = GnumapConfig::default();
-        let plain = run_serial_with::<FixedAccumulator>(&reference, &reads, &cfg);
+        let cfg = GnumapConfig {
+            accumulator: AccumulatorMode::Fixed,
+            ..GnumapConfig::default()
+        };
+        let plain = run_pipeline(&reference, &reads, &cfg, &Observer::disabled());
         let sink = Arc::new(MemorySink::new());
-        let observed = run_serial_observed::<FixedAccumulator>(
-            &reference,
-            &reads,
-            &cfg,
-            &Observer::new(sink.clone()),
-        );
+        let observed = run_pipeline(&reference, &reads, &cfg, &Observer::new(sink.clone()));
         assert_eq!(observed.accumulator_digest, plain.accumulator_digest);
         assert_eq!(observed.reads_mapped, plain.reads_mapped);
 
@@ -371,6 +376,7 @@ pub(crate) mod tests {
                 accumulator: AccumulatorMode::Fixed,
                 ..GnumapConfig::default()
             },
+            &Observer::disabled(),
         );
         let acc = crate::report::score_snp_calls(&report.calls, &truth);
         assert!(acc.true_positives >= 3, "{acc:?}");
@@ -395,14 +401,20 @@ pub(crate) mod tests {
     #[test]
     fn chardisc_mode_is_close_to_norm_at_moderate_coverage() {
         let (reference, truth, reads) = fixture(5_000, 6, 12.0, 11);
-        let norm = run_pipeline(&reference, &reads, &GnumapConfig::default());
+        let norm = run_pipeline(
+            &reference,
+            &reads,
+            &GnumapConfig::default(),
+            &Observer::disabled(),
+        );
         let chard = run_pipeline(
             &reference,
             &reads,
             &GnumapConfig {
-                accumulator: crate::accum::AccumulatorMode::CharDisc,
+                accumulator: AccumulatorMode::CharDisc,
                 ..GnumapConfig::default()
             },
+            &Observer::disabled(),
         );
         let a_norm = crate::report::score_snp_calls(&norm.calls, &truth);
         let a_chard = crate::report::score_snp_calls(&chard.calls, &truth);

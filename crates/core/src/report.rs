@@ -1,6 +1,7 @@
 //! Run reports and accuracy scoring (the quantities in paper Tables I/III),
 //! plus the cluster communication model used for simulated scaling.
 
+use crate::observe::Event;
 use crate::snpcall::SnpCall;
 use genome::alphabet::Base;
 use mpisim::TrafficStats;
@@ -79,7 +80,7 @@ impl StreamStats {
 }
 
 /// What one pipeline run produced and cost.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// SNPs called.
     pub calls: Vec<SnpCall>,
@@ -108,6 +109,16 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The [`Event::RunEnd`] summarising this run.
+    pub fn run_end(&self) -> Event {
+        Event::RunEnd {
+            reads_processed: self.reads_processed as u64,
+            reads_mapped: self.reads_mapped as u64,
+            calls: self.calls.len() as u64,
+            wall_secs: self.elapsed_secs,
+        }
+    }
+
     /// Sequences processed per second by wall clock — the y-axis of paper
     /// Figures 4/5 when each rank has its own processor.
     pub fn seqs_per_sec(&self) -> f64 {

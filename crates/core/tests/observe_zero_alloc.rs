@@ -87,7 +87,7 @@ fn disabled_observer_emits_without_allocating() {
             worker: i,
             reads: 256,
             mapped: 250,
-            candidates: 612,
+            kept: 612,
             deposited_columns: 15_000,
         });
         // Cloning the handle (the per-worker pattern in the drivers) is

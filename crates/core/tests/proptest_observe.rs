@@ -58,7 +58,7 @@ fn event() -> impl Strategy<Value = Event> {
                     worker: n1,
                     reads: n2,
                     mapped: n3,
-                    candidates: n4,
+                    kept: n4,
                     deposited_columns: n5,
                 },
                 4 => Event::Checkpoint {

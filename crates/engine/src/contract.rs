@@ -2,9 +2,10 @@
 
 use crate::context::RunContext;
 use crate::error::EngineError;
-use crate::sink::CallSink;
+use crate::sink::{deliver, CallSink};
 use crate::source::ReadSource;
-use gnumap_core::accum::AccumulatorMode;
+use genome::read::SequencedRead;
+use gnumap_core::accum::{AccumulatorMode, GenomeAccumulator, WithAccumulator};
 use gnumap_core::report::RunReport;
 
 /// What a driver can and cannot do, declared statically so callers (the
@@ -38,10 +39,9 @@ impl Capabilities {
 /// One execution mode of the pipeline: the same map → accumulate → call
 /// algorithm behind a uniform entry point.
 ///
-/// Implementations are stateless adapters over the underlying run
-/// functions; all run state lives in the [`RunContext`] and the source.
-/// Every adapter threads `ctx.observer` through, so structured events
-/// flow from any driver the same way.
+/// Implementations are stateless; all run state lives in the
+/// [`RunContext`] and the source. Every driver threads `ctx.observer`
+/// through, so structured events flow from any driver the same way.
 pub trait Driver: Send + Sync {
     /// Canonical registry name (`serial`, `rayon`, `read-split`, ...).
     fn name(&self) -> &'static str;
@@ -66,7 +66,7 @@ pub trait Driver: Send + Sync {
     ) -> Result<RunReport, EngineError>;
 }
 
-/// Shared precondition check for driver adapters: a valid context whose
+/// Shared precondition check for drivers: a valid context whose
 /// accumulator mode the driver supports.
 pub(crate) fn check_preconditions(
     driver: &dyn Driver,
@@ -82,4 +82,45 @@ pub(crate) fn check_preconditions(
         });
     }
     Ok(())
+}
+
+/// A driver over in-memory reads whose body is generic over the
+/// accumulator layout. [`run_layout`] supplies the rest of its `run`.
+pub(crate) trait LayoutDriver: Driver {
+    /// The driver's body with accumulator type `A`.
+    fn run_with<A: GenomeAccumulator>(
+        &self,
+        ctx: &RunContext<'_>,
+        reads: &[SequencedRead],
+    ) -> Result<RunReport, EngineError>;
+}
+
+/// `run` for a [`LayoutDriver`]: check the preconditions, materialise
+/// the reads, run the body with the context's accumulator type, and
+/// deliver the calls.
+pub(crate) fn run_layout<D: LayoutDriver>(
+    driver: &D,
+    ctx: &RunContext<'_>,
+    source: ReadSource<'_>,
+    sink: &mut dyn CallSink,
+) -> Result<RunReport, EngineError> {
+    struct Body<'a, D> {
+        driver: &'a D,
+        ctx: &'a RunContext<'a>,
+        reads: &'a [SequencedRead],
+    }
+    impl<D: LayoutDriver> WithAccumulator for Body<'_, D> {
+        type Output = Result<RunReport, EngineError>;
+        fn run<A: GenomeAccumulator>(self) -> Self::Output {
+            self.driver.run_with::<A>(self.ctx, self.reads)
+        }
+    }
+    check_preconditions(driver, ctx)?;
+    let reads = source.collect()?;
+    let report = ctx.config.accumulator.dispatch(Body {
+        driver,
+        ctx,
+        reads: &reads,
+    })?;
+    deliver(report, sink)
 }

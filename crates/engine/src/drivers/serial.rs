@@ -6,7 +6,7 @@ use crate::error::EngineError;
 use crate::sink::{deliver, CallSink};
 use crate::source::ReadSource;
 use gnumap_core::accum::AccumulatorMode;
-use gnumap_core::pipeline::run_pipeline_observed;
+use gnumap_core::pipeline::run_pipeline;
 use gnumap_core::report::RunReport;
 
 /// Single-threaded pipeline: the reference implementation every parallel
@@ -45,7 +45,7 @@ impl Driver for SerialDriver {
     ) -> Result<RunReport, EngineError> {
         check_preconditions(self, ctx)?;
         let reads = source.collect()?;
-        let report = run_pipeline_observed(ctx.reference, &reads, &ctx.config, &ctx.observer);
+        let report = run_pipeline(ctx.reference, &reads, &ctx.config, &ctx.observer);
         deliver(report, sink)
     }
 }

@@ -54,10 +54,7 @@ impl Driver for ServerDriver {
         check_preconditions(self, ctx)?;
         let reads = source.collect()?;
         let observer = &ctx.observer;
-        observer.emit(|| Event::RunStart {
-            driver: "server".into(),
-            accumulator: ctx.config.accumulator.name().into(),
-        });
+        observer.emit(|| Event::run_start(self.name(), ctx.config.accumulator));
         let start = Instant::now();
 
         // Index stage: server startup builds the k-mer index.
@@ -83,7 +80,9 @@ impl Driver for ServerDriver {
             // worker pool before finalize can answer.
             let timer = StageTimer::start(observer, Stage::Map);
             for chunk in reads.chunks(ctx.chunk_size) {
-                submit_with_retry(&mut client, session, chunk)?;
+                client
+                    .submit_reads_retrying(session, chunk)
+                    .map_err(|e| format!("submit: {e}"))?;
             }
             timer.finish(observer);
 
@@ -103,36 +102,10 @@ impl Driver for ServerDriver {
             reads_processed: r.reads_processed as usize,
             reads_mapped: r.reads_mapped as usize,
             elapsed_secs: start.elapsed().as_secs_f64(),
-            accumulator_bytes: 0,
-            traffic: None,
-            rank_cpu_secs: Vec::new(),
-            stream: None,
             accumulator_digest: Some(r.digest),
+            ..RunReport::default()
         };
-        observer.emit(|| Event::RunEnd {
-            reads_processed: report.reads_processed as u64,
-            reads_mapped: report.reads_mapped as u64,
-            calls: report.calls.len() as u64,
-            wall_secs: report.elapsed_secs,
-        });
+        observer.emit(|| report.run_end());
         deliver(report, sink)
-    }
-}
-
-/// Submit one chunk, backing off briefly on typed `Busy` rejections so a
-/// small ingress queue cannot fail the run.
-fn submit_with_retry(
-    client: &mut server::Client,
-    session: u64,
-    chunk: &[genome::read::SequencedRead],
-) -> Result<(), String> {
-    loop {
-        match client.submit_reads(session, chunk) {
-            Ok(_) => return Ok(()),
-            Err(err) if err.is_kind(server::ErrorKind::Busy) => {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            Err(err) => return Err(format!("submit: {err}")),
-        }
     }
 }

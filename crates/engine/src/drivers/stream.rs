@@ -5,7 +5,7 @@ use crate::contract::{check_preconditions, Capabilities, Driver};
 use crate::error::EngineError;
 use crate::sink::{deliver, CallSink};
 use crate::source::ReadSource;
-use exec::{run_stream_observed, MemoryStream};
+use exec::{run_stream, MemoryStream};
 use gnumap_core::accum::{AccumulatorMode, FixedAccumulator};
 use gnumap_core::report::RunReport;
 
@@ -49,7 +49,7 @@ impl Driver for StreamDriver {
         check_preconditions(self, ctx)?;
         let sc = ctx.stream_config();
         let report = match source {
-            ReadSource::Stream(stream) => run_stream_observed::<FixedAccumulator>(
+            ReadSource::Stream(stream) => run_stream::<FixedAccumulator>(
                 ctx.reference,
                 stream,
                 &ctx.config,
@@ -58,7 +58,7 @@ impl Driver for StreamDriver {
             )?,
             ReadSource::Slice(reads) => {
                 let mut stream = MemoryStream::new(reads.to_vec());
-                run_stream_observed::<FixedAccumulator>(
+                run_stream::<FixedAccumulator>(
                     ctx.reference,
                     &mut stream,
                     &ctx.config,

@@ -1,11 +1,11 @@
-//! Unified driver engine: one registry, one run contract.
+//! Unified driver engine: one registry, one run contract, one driver
+//! layer.
 //!
-//! The pipeline grew six ways to execute the same map → accumulate → call
-//! algorithm — serial, shared-memory threads, two MPI decompositions, a
-//! ring-allreduce variant, a streaming batch engine, and a TCP daemon —
-//! each with its own entry-point signature and its own call sites in the
-//! CLI, the conformance matrix and the benchmarks. This crate collapses
-//! them onto a single contract:
+//! The pipeline runs the same map → accumulate → call algorithm seven
+//! ways — serial, shared-memory threads, two MPI decompositions, a
+//! ring-allreduce variant, a streaming batch engine, and a TCP daemon.
+//! The CLI, the conformance matrix and the benchmarks reach all of them
+//! through a single contract:
 //!
 //! * [`Driver`] — `name()`, `capabilities()`, and
 //!   `run(&RunContext, ReadSource, &mut dyn CallSink) -> RunReport`;
@@ -18,11 +18,16 @@
 //! * [`DriverRegistry`] — the single source of truth for driver names,
 //!   with aliases, typo suggestions, and a generated capability table.
 //!
-//! The adapters are behaviour-preserving wrappers over the original run
-//! functions: with the fixed-point accumulator, every driver resolved
-//! from the registry produces the same accumulator digest and the same
-//! bit-identical call wire as the serial reference (the ring variant,
-//! pinned to float summation, agrees semantically instead — its
+//! Each mode's body is written once — in its [`Driver`] here, or, for
+//! the serial reference, the stream engine and the server, in the crate
+//! that owns it — takes the observer from the [`RunContext`], and runs
+//! the one map → deposit body, `gnumap_core::pipeline::accumulate_reads_with`
+//! (genome-split, which renormalises across ranks, keeps its own loop).
+//! Layout-generic bodies get their accumulator type from the one
+//! dispatch, `AccumulatorMode::dispatch`. With the fixed-point accumulator, every
+//! driver resolved from the registry produces the same accumulator digest
+//! and the same bit-identical call wire as the serial reference (the ring
+//! variant, pinned to float summation, agrees semantically instead — its
 //! [`Capabilities::bit_exact_parallel`] says so).
 
 pub mod context;

@@ -7,8 +7,8 @@ use exec::MemoryStream;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::AccumulatorMode;
-use gnumap_core::observe::MemorySink;
 use gnumap_core::observe::Observer;
+use gnumap_core::observe::{Event, MemorySink};
 use gnumap_core::GnumapConfig;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -208,4 +208,82 @@ fn invalid_context_is_rejected_before_running() {
         .run(&ctx, ReadSource::Slice(&reads), &mut VecSink::default())
         .expect_err("zero threads");
     assert!(matches!(err, EngineError::InvalidContext(_)), "{err:?}");
+}
+
+/// Σ`kept` and Σ`deposited_columns` over a run's `batch` events.
+fn batch_totals(events: &[Event]) -> Option<(u64, u64)> {
+    let mut totals = None;
+    for event in events {
+        if let Event::Batch {
+            kept,
+            deposited_columns,
+            ..
+        } = event
+        {
+            let (k, c) = totals.get_or_insert((0, 0));
+            *k += kept;
+            *c += deposited_columns;
+        }
+    }
+    totals
+}
+
+#[test]
+fn batch_counters_sum_to_the_serial_totals_for_every_driver() {
+    let (reference, reads) = fixture(1109);
+    let registry = DriverRegistry::standard();
+    let run = |name: &str| {
+        let sink = Arc::new(MemorySink::default());
+        let mut ctx = RunContext::new(&reference);
+        ctx.config.accumulator = AccumulatorMode::Norm;
+        ctx.threads = 3;
+        ctx.batch_size = 16;
+        ctx.observer = Observer::new(sink.clone());
+        registry
+            .get(name)
+            .unwrap()
+            .run(&ctx, ReadSource::Slice(&reads), &mut VecSink::default())
+            .unwrap_or_else(|e| panic!("{name} failed: {e}"));
+        batch_totals(&sink.take())
+    };
+    let (serial_kept, serial_columns) = run("serial").expect("serial emits batch events");
+    assert!(serial_kept >= reads.len() as u64 / 2, "{serial_kept}");
+
+    let mut checked = 0;
+    for name in registry.names() {
+        let Some((kept, columns)) = run(name) else {
+            continue;
+        };
+        assert_eq!(kept, serial_kept, "{name}: Σkept differs from serial");
+        assert_eq!(
+            columns, serial_columns,
+            "{name}: Σdeposited_columns differs from serial"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 6, "only {checked} drivers emitted batch events");
+
+    // The server counts the same kept alignments into its Stats frame.
+    let handle = server::start(
+        reference.clone(),
+        GnumapConfig::default(),
+        server::ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .expect("server starts");
+    let mut client = server::Client::connect(handle.addr()).expect("connect");
+    let session = client
+        .open_session(server::SessionConfig::default())
+        .expect("open session");
+    for chunk in reads.chunks(64) {
+        client
+            .submit_reads_retrying(session, chunk)
+            .expect("submit");
+    }
+    client.finalize(session, 60_000).expect("finalize");
+    let stats = client.stats().expect("stats");
+    handle.shutdown();
+    handle.join();
+    assert_eq!(stats.alignments_kept, serial_kept);
+    assert_eq!(stats.deposit_columns, serial_columns);
 }

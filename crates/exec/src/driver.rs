@@ -41,7 +41,9 @@ use crossbeam::utils::Backoff;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::GenomeAccumulator;
+use gnumap_core::mapping::AlignScratch;
 use gnumap_core::observe::{Event, Observer, Stage, StageTimer};
+use gnumap_core::pipeline::accumulate_reads_with;
 use gnumap_core::report::{RunReport, StreamStats};
 use gnumap_core::snpcall::call_snps;
 use gnumap_core::{GnumapConfig, MappingEngine};
@@ -115,23 +117,12 @@ struct BatchDone {
 /// Run the streaming engine over `stream`, calling SNPs at end of input.
 ///
 /// With `A = FixedAccumulator` the returned calls are bit-identical to
-/// `run_serial_with::<FixedAccumulator>` on the same reads, for any
-/// worker count, batch size, chunking or checkpoint/resume split.
+/// the serial pipeline's on the same reads, for any worker count, batch
+/// size, chunking or checkpoint/resume split. `observer` receives one
+/// [`Event::Batch`] per stolen micro-batch (tagged with the stealing
+/// worker's index), an [`Event::Checkpoint`] for every checkpoint record
+/// written, and stage timings taken on the scheduler thread.
 pub fn run_stream<A: GenomeAccumulator>(
-    reference: &DnaSeq,
-    stream: &mut dyn ReadStream,
-    config: &GnumapConfig,
-    sc: &StreamConfig,
-) -> Result<RunReport, ExecError> {
-    run_stream_observed::<A>(reference, stream, config, sc, &Observer::disabled())
-}
-
-/// [`run_stream`] with structured observability: one [`Event::Batch`] per
-/// stolen micro-batch (tagged with the stealing worker's index), an
-/// [`Event::Checkpoint`] for every checkpoint record written, and stage
-/// timings taken on the scheduler thread. The disabled-observer path is
-/// the exact un-instrumented worker loop.
-pub fn run_stream_observed<A: GenomeAccumulator>(
     reference: &DnaSeq,
     stream: &mut dyn ReadStream,
     config: &GnumapConfig,
@@ -141,10 +132,7 @@ pub fn run_stream_observed<A: GenomeAccumulator>(
     assert!(sc.workers >= 1, "need at least one worker");
     assert!(sc.batch_size >= 1, "batches must hold at least one read");
     assert!(sc.chunk_size >= 1, "chunks must hold at least one read");
-    observer.emit(|| Event::RunStart {
-        driver: "stream".into(),
-        accumulator: config.accumulator.name().into(),
-    });
+    observer.emit(|| Event::run_start("stream", config.accumulator));
     let start = Instant::now();
 
     // ---- resume --------------------------------------------------------
@@ -228,7 +216,7 @@ pub fn run_stream_observed<A: GenomeAccumulator>(
             .map(|worker_index| {
                 let injector = &injector;
                 let shutdown = &shutdown;
-                let sharded = &sharded;
+                let mut sink = &sharded;
                 let engine = &engine;
                 let done_tx = done_tx.clone();
                 scope.spawn(move || {
@@ -237,54 +225,21 @@ pub fn run_stream_observed<A: GenomeAccumulator>(
                     let mut backoff = Backoff::new();
                     // Per-worker scratch arena, reused for every stolen
                     // batch this thread ever processes.
-                    let mut scratch = gnumap_core::mapping::AlignScratch::new();
+                    let mut scratch = AlignScratch::new();
                     loop {
                         match injector.steal() {
                             Steal::Success(batch) => {
                                 backoff.reset();
-                                let mut mapped = 0usize;
-                                if observer.is_enabled() {
-                                    let (mut candidates, mut columns) = (0u64, 0u64);
-                                    for read in &batch.reads {
-                                        engine.map_read_with(read, &mut scratch);
-                                        if !scratch.is_empty() {
-                                            mapped += 1;
-                                        }
-                                        for aln in scratch.alignments() {
-                                            candidates += 1;
-                                            columns += aln.columns.len() as u64;
-                                            sharded.deposit(
-                                                aln.window_start,
-                                                aln.score,
-                                                aln.columns,
-                                            );
-                                        }
-                                    }
-                                    observer.emit(|| Event::Batch {
-                                        worker: worker_index as u64,
-                                        reads: batch.reads.len() as u64,
-                                        mapped: mapped as u64,
-                                        candidates,
-                                        deposited_columns: columns,
-                                    });
-                                } else {
-                                    for read in &batch.reads {
-                                        engine.map_read_with(read, &mut scratch);
-                                        if !scratch.is_empty() {
-                                            mapped += 1;
-                                        }
-                                        for aln in scratch.alignments() {
-                                            sharded.deposit(
-                                                aln.window_start,
-                                                aln.score,
-                                                aln.columns,
-                                            );
-                                        }
-                                    }
-                                }
+                                let counts = accumulate_reads_with(
+                                    engine,
+                                    &batch.reads,
+                                    &mut sink,
+                                    &mut scratch,
+                                );
+                                observer.emit(|| counts.event(worker_index));
                                 let _ = done_tx.send(BatchDone {
                                     reads: batch.reads.len(),
-                                    mapped,
+                                    mapped: counts.mapped as usize,
                                 });
                             }
                             Steal::Retry => {}
@@ -435,24 +390,19 @@ pub fn run_stream_observed<A: GenomeAccumulator>(
     let timer = StageTimer::start(observer, Stage::Call);
     let calls = call_snps(&full, reference, &config.calling);
     timer.finish(observer);
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    observer.emit(|| Event::RunEnd {
-        reads_processed: cursor as u64,
-        reads_mapped: mapped_total as u64,
-        calls: calls.len() as u64,
-        wall_secs: elapsed_secs,
-    });
-    Ok(RunReport {
+    let report = RunReport {
         calls,
         reads_processed: cursor,
         reads_mapped: mapped_total,
-        elapsed_secs,
+        elapsed_secs: start.elapsed().as_secs_f64(),
         accumulator_bytes,
         traffic: None,
         rank_cpu_secs,
         stream: Some(stats),
         accumulator_digest: Some(full.digest()),
-    })
+    };
+    observer.emit(|| report.run_end());
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -497,6 +447,7 @@ mod tests {
             &mut stream,
             &GnumapConfig::default(),
             &StreamConfig::default(),
+            &Observer::disabled(),
         )
         .unwrap();
         assert_eq!(report.reads_processed, 0);
@@ -518,9 +469,14 @@ mod tests {
             chunk_size: 32,
             ..Default::default()
         };
-        let report =
-            run_stream::<FixedAccumulator>(&genome, &mut stream, &GnumapConfig::default(), &sc)
-                .unwrap();
+        let report = run_stream::<FixedAccumulator>(
+            &genome,
+            &mut stream,
+            &GnumapConfig::default(),
+            &sc,
+            &Observer::disabled(),
+        )
+        .unwrap();
         assert_eq!(report.reads_processed, n);
         assert!(report.reads_mapped > n * 9 / 10);
         assert_eq!(report.rank_cpu_secs.len(), 2);
@@ -541,7 +497,14 @@ mod tests {
         let cfg = GnumapConfig::default();
         let baseline = {
             let mut s = MemoryStream::new(reads.clone());
-            run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &StreamConfig::default()).unwrap()
+            run_stream::<FixedAccumulator>(
+                &genome,
+                &mut s,
+                &cfg,
+                &StreamConfig::default(),
+                &Observer::disabled(),
+            )
+            .unwrap()
         };
         for (workers, batch_size, chunk_size) in [(2, 8, 16), (3, 31, 7), (4, 64, 500)] {
             let mut s = MemoryStream::new(reads.clone());
@@ -551,7 +514,9 @@ mod tests {
                 chunk_size,
                 ..Default::default()
             };
-            let r = run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &sc).unwrap();
+            let r =
+                run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &sc, &Observer::disabled())
+                    .unwrap();
             assert_eq!(
                 r.calls, baseline.calls,
                 "workers={workers} batch={batch_size} chunk={chunk_size}"
@@ -568,7 +533,14 @@ mod tests {
         let cfg = GnumapConfig::default();
         let plain = {
             let mut s = MemoryStream::new(reads.clone());
-            run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &StreamConfig::default()).unwrap()
+            run_stream::<FixedAccumulator>(
+                &genome,
+                &mut s,
+                &cfg,
+                &StreamConfig::default(),
+                &Observer::disabled(),
+            )
+            .unwrap()
         };
         let dir = std::env::temp_dir().join(format!("gnumap-obs-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -585,7 +557,7 @@ mod tests {
         };
         let sink = Arc::new(MemorySink::new());
         let mut s = MemoryStream::new(reads.clone());
-        let observed = run_stream_observed::<FixedAccumulator>(
+        let observed = run_stream::<FixedAccumulator>(
             &genome,
             &mut s,
             &cfg,
@@ -634,9 +606,14 @@ mod tests {
             abort_after_batches: Some(3),
             ..Default::default()
         };
-        let err =
-            run_stream::<FixedAccumulator>(&genome, &mut stream, &GnumapConfig::default(), &sc)
-                .unwrap_err();
+        let err = run_stream::<FixedAccumulator>(
+            &genome,
+            &mut stream,
+            &GnumapConfig::default(),
+            &sc,
+            &Observer::disabled(),
+        )
+        .unwrap_err();
         match err {
             ExecError::Aborted { cursor } => {
                 assert!(cursor > 0, "abort fires after at least one window");

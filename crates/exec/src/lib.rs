@@ -1,10 +1,12 @@
 //! Streaming execution engine for the GNUMAP-SNP pipeline.
 //!
-//! The pipeline drivers in `gnumap-core` all start from a `&[SequencedRead]`
-//! slice: the whole input must fit in memory before any work begins, and
-//! every driver ends with a global merge of per-worker accumulators. This
-//! crate runs the same map → accumulate → call algorithm over an
-//! **unbounded read source** instead:
+//! The serial pipeline and the rayon and MPI drivers all start from a
+//! `&[SequencedRead]` slice: the whole input must fit in memory before any
+//! work begins, and every parallel one ends with a global merge of
+//! per-worker accumulators. This crate runs the same map → accumulate →
+//! call algorithm — the same map → deposit body,
+//! `gnumap_core::pipeline::accumulate_reads_with` — over an **unbounded
+//! read source** instead:
 //!
 //! * [`stream`] — a chunked [`stream::ReadStream`] trait with FASTQ-file,
 //!   simulator-backed and in-memory implementations, feeding a bounded
@@ -30,7 +32,7 @@ pub mod sharded;
 pub mod stream;
 
 pub use checkpoint::Checkpoint;
-pub use driver::{run_stream, run_stream_observed, CheckpointPolicy, StreamConfig};
+pub use driver::{run_stream, CheckpointPolicy, StreamConfig};
 pub use error::ExecError;
 pub use sharded::ShardedAccumulator;
 pub use stream::{FastqStream, MemoryStream, ReadStream, SimReadStream};

@@ -9,7 +9,7 @@
 //! shards already hold disjoint slices of the final accumulator.
 
 use gnumap_core::accum::{GenomeAccumulator, NUM_SYMBOLS};
-use gnumap_core::pipeline::deposit;
+use gnumap_core::pipeline::{deposit, EvidenceSink};
 use pairhmm::marginal::ColumnPosterior;
 use parking_lot::Mutex;
 
@@ -146,6 +146,14 @@ impl<A: GenomeAccumulator> ShardedAccumulator<A> {
     /// Total heap bytes across shards.
     pub fn heap_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.lock().heap_bytes()).sum()
+    }
+}
+
+/// Workers share one striped accumulator, so the map → deposit body's
+/// sink is a shared reference.
+impl<A: GenomeAccumulator> EvidenceSink for &ShardedAccumulator<A> {
+    fn deposit(&mut self, window_start: usize, weight: f64, columns: &[ColumnPosterior]) {
+        ShardedAccumulator::deposit(self, window_start, weight, columns);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Per-thread CPU time measurement.
+//! Per-thread and per-process CPU time measurement.
 //!
 //! The paper's scaling figures need the compute time *each rank would take
 //! on its own processor*. When simulated ranks timeshare fewer physical
@@ -8,7 +8,8 @@
 //! `/proc/thread-self/schedstat` (nanoseconds, first field), falling back
 //! to `/proc/thread-self/stat` (utime+stime jiffies at the conventional
 //! 100 Hz), and finally to zero on non-Linux systems (callers then fall
-//! back to wall-clock).
+//! back to wall-clock). Stage timings that must include worker threads
+//! read the whole process's CPU from `/proc/self/stat` instead.
 
 /// CPU seconds consumed by the calling thread so far, or `None` when the
 /// kernel interface is unavailable.
@@ -22,22 +23,29 @@ pub fn thread_cpu_seconds() -> Option<f64> {
             return Some(ns as f64 / 1e9);
         }
     }
-    if let Ok(text) = std::fs::read_to_string("/proc/thread-self/stat") {
-        // Fields 14 and 15 (1-indexed) after the parenthesised comm field
-        // are utime and stime in clock ticks.
-        if let Some(rest) = text.rsplit(')').next() {
-            let fields: Vec<&str> = rest.split_whitespace().collect();
-            // `rest` starts at field 3 ("state"), so utime/stime are at
-            // indices 11 and 12.
-            if fields.len() > 12 {
-                if let (Ok(ut), Ok(st)) = (fields[11].parse::<u64>(), fields[12].parse::<u64>()) {
-                    const TICKS_PER_SEC: f64 = 100.0; // Linux USER_HZ
-                    return Some((ut + st) as f64 / TICKS_PER_SEC);
-                }
-            }
-        }
-    }
-    None
+    std::fs::read_to_string("/proc/thread-self/stat")
+        .ok()
+        .and_then(|text| stat_cpu_seconds(&text))
+}
+
+/// CPU seconds (user + system) consumed by the whole process so far —
+/// every thread, including threads that have already exited — or `None`
+/// when `/proc/self/stat` is unavailable.
+pub fn process_cpu_seconds() -> Option<f64> {
+    let text = std::fs::read_to_string("/proc/self/stat").ok()?;
+    stat_cpu_seconds(&text)
+}
+
+/// utime + stime from a `/proc/.../stat` line, in seconds.
+fn stat_cpu_seconds(text: &str) -> Option<f64> {
+    // Fields 14 and 15 (1-indexed) after the parenthesised comm field
+    // are utime and stime in clock ticks; `rest` starts at field 3
+    // ("state"), so they sit at indices 11 and 12.
+    let mut fields = text.rsplit(')').next()?.split_whitespace().skip(11);
+    let ut: u64 = fields.next()?.parse().ok()?;
+    let st: u64 = fields.next()?.parse().ok()?;
+    const TICKS_PER_SEC: f64 = 100.0; // Linux USER_HZ
+    Some((ut + st) as f64 / TICKS_PER_SEC)
 }
 
 /// A scope timer over the calling thread's CPU time, with wall-clock

@@ -24,7 +24,7 @@ pub mod stats;
 pub mod wire;
 pub mod world;
 
-pub use cputime::{thread_cpu_seconds, ThreadCpuTimer};
+pub use cputime::{process_cpu_seconds, thread_cpu_seconds, ThreadCpuTimer};
 pub use stats::TrafficStats;
 pub use wire::WireSize;
 pub use world::{Rank, World, WorldReport};

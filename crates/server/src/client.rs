@@ -8,6 +8,10 @@ use crate::protocol::{
 use genome::read::SequencedRead;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
+
+/// Pause before each retry in [`Client::submit_reads_retrying`].
+pub const BUSY_RETRY_PAUSE: Duration = Duration::from_millis(50);
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -117,6 +121,22 @@ impl Client {
         match self.call(&request)? {
             Response::ReadsAccepted { accepted, .. } => Ok(accepted),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
+        }
+    }
+
+    /// [`Client::submit_reads`], sleeping [`BUSY_RETRY_PAUSE`] and
+    /// retrying on each typed `Busy` until the chunk is admitted. Any
+    /// other error is returned as is.
+    pub fn submit_reads_retrying(
+        &mut self,
+        session: u64,
+        reads: &[SequencedRead],
+    ) -> Result<u32, ClientError> {
+        loop {
+            match self.submit_reads(session, reads) {
+                Err(err) if err.is_kind(ErrorKind::Busy) => std::thread::sleep(BUSY_RETRY_PAUSE),
+                result => return result,
+            }
         }
     }
 

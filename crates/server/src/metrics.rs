@@ -27,8 +27,9 @@ pub struct StatsSnapshot {
     pub reads_processed: u64,
     /// Processed reads that produced at least one alignment.
     pub reads_mapped: u64,
-    /// Candidate alignments scored by the Pair-HMM.
-    pub candidates_evaluated: u64,
+    /// Kept alignments (those surviving the posterior-weight filter),
+    /// each deposited into its session's accumulator.
+    pub alignments_kept: u64,
     /// Posterior columns deposited into session accumulators.
     pub deposit_columns: u64,
     /// Micro-batches handed to the worker pool.
@@ -70,7 +71,7 @@ pub struct Metrics {
     pub(crate) reads_accepted: AtomicU64,
     pub(crate) reads_processed: AtomicU64,
     pub(crate) reads_mapped: AtomicU64,
-    pub(crate) candidates_evaluated: AtomicU64,
+    pub(crate) alignments_kept: AtomicU64,
     pub(crate) deposit_columns: AtomicU64,
     pub(crate) batches_dispatched: AtomicU64,
     pub(crate) batch_reads: AtomicU64,
@@ -92,7 +93,7 @@ impl Metrics {
             reads_accepted: AtomicU64::new(0),
             reads_processed: AtomicU64::new(0),
             reads_mapped: AtomicU64::new(0),
-            candidates_evaluated: AtomicU64::new(0),
+            alignments_kept: AtomicU64::new(0),
             deposit_columns: AtomicU64::new(0),
             batches_dispatched: AtomicU64::new(0),
             batch_reads: AtomicU64::new(0),
@@ -163,7 +164,7 @@ impl Metrics {
             reads_accepted: self.reads_accepted.load(Ordering::Relaxed),
             reads_processed: self.reads_processed.load(Ordering::Relaxed),
             reads_mapped: self.reads_mapped.load(Ordering::Relaxed),
-            candidates_evaluated: self.candidates_evaluated.load(Ordering::Relaxed),
+            alignments_kept: self.alignments_kept.load(Ordering::Relaxed),
             deposit_columns: self.deposit_columns.load(Ordering::Relaxed),
             batches_dispatched: batches,
             cross_session_batches: self.cross_session_batches.load(Ordering::Relaxed),

@@ -476,7 +476,7 @@ fn put_stats(buf: &mut Vec<u8>, s: &StatsSnapshot) {
     put_u64(buf, s.reads_accepted);
     put_u64(buf, s.reads_processed);
     put_u64(buf, s.reads_mapped);
-    put_u64(buf, s.candidates_evaluated);
+    put_u64(buf, s.alignments_kept);
     put_u64(buf, s.deposit_columns);
     put_u64(buf, s.batches_dispatched);
     put_u64(buf, s.cross_session_batches);
@@ -500,7 +500,7 @@ fn get_stats(p: &mut Payload<'_>) -> Result<StatsSnapshot, ProtocolError> {
         reads_accepted: p.u64("reads_accepted")?,
         reads_processed: p.u64("reads_processed")?,
         reads_mapped: p.u64("reads_mapped")?,
-        candidates_evaluated: p.u64("candidates_evaluated")?,
+        alignments_kept: p.u64("alignments_kept")?,
         deposit_columns: p.u64("deposit_columns")?,
         batches_dispatched: p.u64("batches_dispatched")?,
         cross_session_batches: p.u64("cross_session_batches")?,

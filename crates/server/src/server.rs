@@ -36,6 +36,7 @@ use genome::seq::DnaSeq;
 use gnumap_core::accum::GenomeAccumulator;
 use gnumap_core::config::GnumapConfig;
 use gnumap_core::mapping::{AlignScratch, MappingEngine};
+use gnumap_core::pipeline::{accumulate_reads_with, BatchCounts};
 use gnumap_core::snpcall::call_snps;
 use mpisim::ThreadCpuTimer;
 use std::io;
@@ -601,16 +602,17 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
         if let Some(delay) = shared.cfg.worker_delay {
             thread::sleep(delay);
         }
-        let (mut candidates, mut columns) = (0u64, 0u64);
+        let mut counts = BatchCounts::default();
         for item in batch.items {
-            engine.map_read_with(&item.read, &mut scratch);
-            let mapped = !scratch.is_empty();
-            for aln in scratch.alignments() {
-                candidates += 1;
-                columns += aln.columns.len() as u64;
-                item.session
-                    .deposit(aln.window_start, aln.score, aln.columns);
-            }
+            // Reads in one batch belong to different sessions, so each
+            // read goes through the body with its own session as sink.
+            let read = accumulate_reads_with(
+                &engine,
+                std::slice::from_ref(&item.read),
+                &mut &*item.session,
+                &mut scratch,
+            );
+            let mapped = read.mapped > 0;
             item.session.complete_read(mapped);
             shared
                 .metrics
@@ -622,15 +624,16 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
             shared
                 .metrics
                 .observe_latency_micros(item.enqueued.elapsed().as_micros() as u64);
+            counts += read;
         }
         shared
             .metrics
-            .candidates_evaluated
-            .fetch_add(candidates, Ordering::Relaxed);
+            .alignments_kept
+            .fetch_add(counts.kept, Ordering::Relaxed);
         shared
             .metrics
             .deposit_columns
-            .fetch_add(columns, Ordering::Relaxed);
+            .fetch_add(counts.deposited_columns, Ordering::Relaxed);
         shared
             .metrics
             .publish_worker_cpu(worker_id, timer.elapsed());

@@ -14,6 +14,7 @@
 
 use exec::ShardedAccumulator;
 use gnumap_core::accum::FixedAccumulator;
+use gnumap_core::pipeline::EvidenceSink;
 use gnumap_core::snpcall::SnpCallConfig;
 use pairhmm::marginal::ColumnPosterior;
 use std::collections::HashMap;
@@ -151,6 +152,14 @@ impl SessionState {
     /// Processed reads that mapped.
     pub fn reads_mapped(&self) -> u64 {
         self.reads_mapped.load(Ordering::Relaxed)
+    }
+}
+
+/// Workers deposit into a shared session, so the map → deposit body's
+/// sink is a shared reference.
+impl EvidenceSink for &SessionState {
+    fn deposit(&mut self, window_start: usize, weight: f64, columns: &[ColumnPosterior]) {
+        SessionState::deposit(self, window_start, weight, columns);
     }
 }
 

@@ -4,9 +4,11 @@
 
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
-use gnumap_core::accum::FixedAccumulator;
+use gnumap_core::accum::AccumulatorMode;
 use gnumap_core::config::GnumapConfig;
-use gnumap_core::pipeline::run_serial_with;
+use gnumap_core::observe::Observer;
+use gnumap_core::pipeline::run_pipeline;
+use gnumap_core::report::RunReport;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use server::protocol::Request;
@@ -43,6 +45,15 @@ fn fixture(genome_len: usize, coverage: f64, seed: u64) -> (DnaSeq, Vec<Sequence
     );
     let reads: Vec<_> = sim.into_iter().map(|r| r.read).collect();
     (reference, reads)
+}
+
+/// The serial fixed-point reference run over `reads`.
+fn serial_fixed(reference: &DnaSeq, reads: &[SequencedRead], config: GnumapConfig) -> RunReport {
+    let config = GnumapConfig {
+        accumulator: AccumulatorMode::Fixed,
+        ..config
+    };
+    run_pipeline(reference, reads, &config, &Observer::disabled())
 }
 
 /// With a tiny ingress queue, a short admission timeout, and slowed
@@ -100,12 +111,61 @@ fn full_ingress_sheds_busy_and_recovers() {
     assert_eq!(stats.busy_rejections as usize, busy_seen);
 
     let result = client.finalize(session, 60_000).expect("finalize");
-    let serial = run_serial_with::<FixedAccumulator>(&reference, &accepted, &config);
+    let serial = serial_fixed(&reference, &accepted, config);
     assert_eq!(
         Some(result.digest),
         serial.accumulator_digest,
         "shedding must never corrupt accepted evidence"
     );
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// The same overloaded server driven through
+/// `Client::submit_reads_retrying`: the method absorbs every `Busy`, so
+/// each chunk is admitted and the session matches a serial run over all
+/// of them.
+#[test]
+fn retrying_submit_gets_every_read_through_an_overloaded_server() {
+    let (reference, reads) = fixture(2_000, 8.0, 11);
+    let config = GnumapConfig::default();
+    let handle = start(
+        reference.clone(),
+        config,
+        ServerConfig {
+            workers: 1,
+            batch_size: 4,
+            ingress_capacity: 1,
+            dispatch_capacity: 1,
+            submit_timeout: Duration::from_millis(30),
+            worker_delay: Some(Duration::from_millis(80)),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("server starts");
+
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let session = client.open_session(SessionConfig::default()).expect("open");
+    let sent: Vec<SequencedRead> = reads.iter().take(48).cloned().collect();
+    for chunk in sent.chunks(4) {
+        let accepted = client
+            .submit_reads_retrying(session, chunk)
+            .expect("retrying submit");
+        assert_eq!(accepted as usize, chunk.len());
+    }
+    let stats = client.stats().expect("stats");
+    assert!(
+        stats.busy_rejections > 0,
+        "the overloaded setup must shed at least once"
+    );
+    assert_eq!(stats.reads_accepted as usize, sent.len());
+
+    let result = client.finalize(session, 60_000).expect("finalize");
+    assert_eq!(result.reads_processed as usize, sent.len());
+    let serial = serial_fixed(&reference, &sent, config);
+    assert_eq!(Some(result.digest), serial.accumulator_digest);
 
     handle.shutdown();
     handle.join();
@@ -147,7 +207,7 @@ fn slow_worker_triggers_finalize_timeout_then_retry_succeeds() {
 
     // Retry with a generous deadline: the session is closed but intact.
     let result = client.finalize(session, 60_000).expect("retried finalize");
-    let serial = run_serial_with::<FixedAccumulator>(&reference, &reads[..take], &config);
+    let serial = serial_fixed(&reference, &reads[..take], config);
     assert_eq!(Some(result.digest), serial.accumulator_digest);
     assert_eq!(result.reads_processed as usize, take);
 
@@ -200,7 +260,7 @@ fn stalled_client_does_not_wedge_the_batcher() {
         .submit_reads(session, &reads[..take])
         .expect("submit");
     let result = client.finalize(session, 60_000).expect("finalize");
-    let serial = run_serial_with::<FixedAccumulator>(&reference, &reads[..take], &config);
+    let serial = serial_fixed(&reference, &reads[..take], config);
     assert_eq!(Some(result.digest), serial.accumulator_digest);
 
     // The stalled connection gets reaped by the frame-stall cap, so

@@ -58,7 +58,12 @@ fn main() {
         .map(|r| r.read)
         .collect();
 
-        let gnumap = run_pipeline(&reference, &reads, &GnumapConfig::default());
+        let gnumap = run_pipeline(
+            &reference,
+            &reads,
+            &GnumapConfig::default(),
+            &Observer::disabled(),
+        );
         let g = score_snp_calls(&gnumap.calls, &truth);
 
         let maq = run_baseline(

@@ -66,7 +66,7 @@ fn main() {
         },
         ..Default::default()
     };
-    let report = run_pipeline(&reference, &reads, &config);
+    let report = run_pipeline(&reference, &reads, &config, &Observer::disabled());
 
     println!(
         "diploid run: {} reads, {} calls under BH FDR q=0.05\n",

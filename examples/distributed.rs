@@ -6,7 +6,7 @@
 //! cargo run --release --example distributed
 //! ```
 
-use gnumap_snp::core::accum::NormAccumulator;
+use gnumap_snp::engine;
 use gnumap_snp::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -45,8 +45,17 @@ fn main() {
     .map(|r| r.read)
     .collect();
 
-    let cfg = GnumapConfig::default();
     let ranks = 4;
+    let registry = DriverRegistry::standard();
+    let mut ctx = RunContext::new(&reference);
+    ctx.threads = ranks;
+    let run = |name: &str| {
+        registry
+            .get(name)
+            .expect("registered driver")
+            .run(&ctx, engine::ReadSource::Slice(&reads), &mut NullSink)
+            .expect("call wire intact")
+    };
 
     println!(
         "workload: {} bp genome, {} reads, {} ranks\n",
@@ -55,10 +64,8 @@ fn main() {
         ranks
     );
 
-    let shared = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks)
-        .expect("call wire intact");
-    let spread = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, ranks)
-        .expect("call wire intact");
+    let shared = run("read-split");
+    let spread = run("genome-split");
 
     for (name, report, per_rank_note) in [
         (

@@ -59,7 +59,7 @@ fn main() {
             accumulator: mode,
             ..Default::default()
         };
-        let report = run_pipeline(&reference, &reads, &config);
+        let report = run_pipeline(&reference, &reads, &config, &Observer::disabled());
         let accuracy = score_snp_calls(&report.calls, &truth);
         let projected = FootprintModel::for_mode(mode).project(HUMAN_GENOME_BASES);
         println!(

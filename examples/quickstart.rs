@@ -57,7 +57,12 @@ fn main() {
 
     // 4. Run the full pipeline: k-mer seeding → Pair-HMM marginal
     //    alignment → LRT SNP calling at α = 0.05.
-    let report = run_pipeline(&reference, &reads, &GnumapConfig::default());
+    let report = run_pipeline(
+        &reference,
+        &reads,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
     println!(
         "mapped {}/{} reads in {:.2}s ({:.0} seqs/sec)\n",
         report.reads_mapped,

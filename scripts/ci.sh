@@ -30,6 +30,11 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --workspace
 
+echo "==> benchmark harness: perfbench builds and tests against the crates"
+# perfbench is a workspace of its own (path deps on the crates), so the
+# workspace pass above never compiles it.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> conformance gate: gnumap verify --fast"
 target/release/gnumap verify --fast
 
@@ -42,11 +47,13 @@ target/release/gnumap simulate --out-dir "$trace_dir" \
 target/release/gnumap drivers | grep -q '`serial`' || {
     echo "gnumap drivers does not list the serial driver"; exit 1;
 }
-for driver in serial rayon stream; do
+# Every registry driver; the ring allreduce accepts only the norm
+# accumulator, so all of them run with it.
+for driver in serial rayon read-split read-split-ring genome-split stream server; do
     target/release/gnumap call --reference "$trace_dir/reference.fa" \
         --reads "$trace_dir/reads.fq" --out "$trace_dir/$driver.vcf" \
-        --driver "$driver" --trace-json "$trace_dir/$driver.trace.jsonl" \
-        >/dev/null
+        --driver "$driver" --accumulator norm \
+        --trace-json "$trace_dir/$driver.trace.jsonl" >/dev/null
     target/release/gnumap trace-check --trace "$trace_dir/$driver.trace.jsonl" \
         >/dev/null || {
         echo "trace-check rejected the $driver trace:"

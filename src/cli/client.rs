@@ -37,7 +37,7 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
             out,
             "sessions {}/{} open/total ({} aborted)\n\
              reads    {} accepted, {} processed, {} mapped\n\
-             pairhmm  {} candidate(s) evaluated, {} deposit column(s)\n\
+             pairhmm  {} alignment(s) kept, {} deposit column(s)\n\
              batches  {} ({:.2} reads/batch, {:.2} sessions/batch, {} cross-session)\n\
              ingress  {} now, {} peak; {} busy, {} timeout(s)\n\
              latency  p50 {} µs, p99 {} µs\n\
@@ -48,7 +48,7 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
             s.reads_accepted,
             s.reads_processed,
             s.reads_mapped,
-            s.candidates_evaluated,
+            s.alignments_kept,
             s.deposit_columns,
             s.batches_dispatched,
             s.mean_batch_occupancy,
@@ -93,7 +93,11 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
         if chunk.is_empty() {
             break;
         }
-        submitted += u64::from(submit_with_retry(&mut client, session, &chunk)?);
+        submitted += u64::from(
+            client
+                .submit_reads_retrying(session, &chunk)
+                .map_err(|e| e.to_string())?,
+        );
     }
     let result = client
         .finalize(session, deadline_ms)
@@ -119,22 +123,6 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
             writeln!(out, "wrote {} call(s) to {p}", records.len()).map_err(|e| e.to_string())
         }
         None => genome::vcf::write_vcf(out, &sample, &records).map_err(|e| e.to_string()),
-    }
-}
-
-fn submit_with_retry(
-    client: &mut server::Client,
-    session: u64,
-    chunk: &[genome::SequencedRead],
-) -> Result<u32, String> {
-    loop {
-        match client.submit_reads(session, chunk) {
-            Ok(n) => return Ok(n),
-            Err(err) if err.is_kind(server::ErrorKind::Busy) => {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-            Err(err) => return Err(err.to_string()),
-        }
     }
 }
 
@@ -241,7 +229,7 @@ mod tests {
 
         let stats = run_to_string(&["client", "--addr", &addr, "--stats"]).unwrap();
         assert!(stats.contains("reads"), "{stats}");
-        assert!(stats.contains("candidate(s) evaluated"), "{stats}");
+        assert!(stats.contains("alignment(s) kept"), "{stats}");
 
         // Exactly one mode must be chosen.
         let err = run_to_string(&["client", "--addr", &addr, "--ping", "--stats"]).unwrap_err();

@@ -621,6 +621,14 @@ mod tests {
                 .collect()
         };
         let want = strip(&std::fs::read_to_string(&vcf_fixed).unwrap());
+        let batch_totals = |report: &str| -> String {
+            report
+                .lines()
+                .find(|l| l.starts_with("batch totals:"))
+                .unwrap_or_else(|| panic!("no batch totals in {report}"))
+                .to_string()
+        };
+        let mut totals = Vec::new();
         for driver in ["read-split", "genome-split"] {
             let vcf = format!("{dirs}/{driver}.vcf");
             let trace = format!("{dirs}/{driver}.trace.jsonl");
@@ -648,7 +656,10 @@ mod tests {
             let report = run_to_string(&["trace-check", "--trace", &trace]).unwrap();
             assert!(report.contains("run_start 1"), "{report}");
             assert!(report.contains("run_end 1"), "{report}");
+            totals.push(batch_totals(&report));
         }
+        // Both decompositions deposit the same kept alignments.
+        assert_eq!(totals[0], totals[1]);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,8 +22,9 @@ pub(super) fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), String>
 }
 
 /// Parse a JSON-lines trace written via `--trace-json`, validate every
-/// line, and summarise event kinds. Errors on an empty trace or one
-/// without the run_start/run_end bracket.
+/// line, and summarise event kinds plus the summed `batch` counters
+/// (equal across drivers for the same input). Errors on an empty trace
+/// or one without the run_start/run_end bracket.
 pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let trace_path = args.require("trace")?;
     args.reject_unknown()?;
@@ -31,6 +32,7 @@ pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), St
     let file = std::fs::File::open(&trace_path).map_err(|e| format!("{trace_path}: {e}"))?;
     let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
     let mut total = 0usize;
+    let (mut kept, mut columns) = (0u64, 0u64);
     for (lineno, line) in BufReader::new(file).lines().enumerate() {
         let line = line.map_err(|e| format!("{trace_path}: {e}"))?;
         if line.is_empty() {
@@ -39,6 +41,15 @@ pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), St
         let event = Event::parse_json_line(&line)
             .map_err(|e| format!("{trace_path}:{}: {e}", lineno + 1))?;
         *kinds.entry(event.kind().to_string()).or_insert(0) += 1;
+        if let Event::Batch {
+            kept: k,
+            deposited_columns: c,
+            ..
+        } = event
+        {
+            kept += k;
+            columns += c;
+        }
         total += 1;
     }
     if total == 0 {
@@ -54,7 +65,15 @@ pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), St
         .map(|(k, n)| format!("{k} {n}"))
         .collect::<Vec<_>>()
         .join(", ");
-    writeln!(out, "{total} event(s): {summary}").map_err(|e| e.to_string())
+    writeln!(out, "{total} event(s): {summary}").map_err(|e| e.to_string())?;
+    if kinds.contains_key("batch") {
+        writeln!(
+            out,
+            "batch totals: {kept} kept alignment(s), {columns} deposited column(s)"
+        )
+        .map_err(|e| e.to_string())?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,9 +15,10 @@
 //! * [`stats`] — χ², LRT, FDR;
 //! * [`simulate`] — genome/SNP/read simulators;
 //! * [`mpisim`] — the thread-backed message-passing runtime;
-//! * [`core`] — the assembled pipeline, accumulators and drivers;
-//! * [`engine`] — the driver registry and the one run contract every
-//!   execution mode implements;
+//! * [`core`] — the assembled pipeline, accumulators and the one
+//!   map → deposit body;
+//! * [`engine`] — the driver registry, the one run contract every
+//!   execution mode implements, and the parallel drivers;
 //! * [`baseline`] — the MAQ-style comparison caller.
 //!
 //! ## Quickstart
@@ -46,7 +47,7 @@
 //! ).into_iter().map(|r| r.read).collect();
 //!
 //! // Run the pipeline and check the planted SNPs are recovered.
-//! let report = run_pipeline(&reference, &reads, &GnumapConfig::default());
+//! let report = run_pipeline(&reference, &reads, &GnumapConfig::default(), &Observer::disabled());
 //! let truth: Vec<_> = snps.iter().map(|s| (s.pos, s.alt)).collect();
 //! let accuracy = score_snp_calls(&report.calls, &truth);
 //! assert!(accuracy.true_positives >= 2);
@@ -69,13 +70,12 @@ pub use simulate;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use baseline::{run_baseline, BaselineConfig};
+    pub use engine::{Driver, DriverRegistry, NullSink, RunContext};
     pub use genome::{Base, DnaSeq, SequencedRead};
     pub use gnumap_core::accum::{AccumulatorMode, GenomeAccumulator};
-    pub use gnumap_core::driver::genome_split::run_genome_split;
-    pub use gnumap_core::driver::rayon_driver::run_rayon;
-    pub use gnumap_core::driver::read_split::run_read_split;
     pub use gnumap_core::{
-        call_snps, run_pipeline, score_snp_calls, GnumapConfig, MappingEngine, RunReport, SnpCall,
+        call_snps, run_pipeline, score_snp_calls, GnumapConfig, MappingEngine, Observer, RunReport,
+        SnpCall,
     };
     pub use gnumap_stats::lrt::Ploidy;
     pub use simulate;

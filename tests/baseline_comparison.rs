@@ -45,7 +45,12 @@ fn both_callers_find_snps_in_unique_sequence() {
     let truth: Vec<_> = catalog.iter().map(|s| (s.pos, s.alt)).collect();
     let truth_positions: HashSet<usize> = truth.iter().map(|&(p, _)| p).collect();
 
-    let gnumap = run_pipeline(&reference, &reads, &GnumapConfig::default());
+    let gnumap = run_pipeline(
+        &reference,
+        &reads,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
     let g = score_snp_calls(&gnumap.calls, &truth);
 
     let maq = run_baseline(&reference, &reads, &BaselineConfig::default(), &mut rng);
@@ -100,7 +105,12 @@ fn gnumap_keeps_repeat_snps_that_the_baseline_drops() {
     .map(|r| r.read)
     .collect();
 
-    let gnumap = run_pipeline(&reference, &reads, &GnumapConfig::default());
+    let gnumap = run_pipeline(
+        &reference,
+        &reads,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
     let gnumap_found = gnumap
         .calls
         .iter()

@@ -4,15 +4,14 @@
 //! the parallelisation is semantics-preserving, which is what lets the
 //! paper claim its speedups come "for free".
 
-use gnumap_snp::core::accum::NormAccumulator;
-use gnumap_snp::core::pipeline::run_serial_with;
+use gnumap_snp::engine;
 use gnumap_snp::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
 use simulate::{GenomeConfig, SnpCatalogConfig};
 
-fn workload() -> (genome::DnaSeq, Vec<SequencedRead>) {
+fn workload() -> (DnaSeq, Vec<SequencedRead>) {
     let mut rng = ChaCha8Rng::seed_from_u64(12);
     let reference = simulate::generate_genome(
         &GenomeConfig {
@@ -54,29 +53,39 @@ fn call_keys(calls: &[SnpCall]) -> Vec<(usize, Base)> {
     calls.iter().map(|c| (c.pos, c.allele)).collect()
 }
 
+/// Run the registry driver `name` (NORM accumulator, p-value cutoff)
+/// with `threads` threads or ranks.
+fn run(name: &str, reference: &DnaSeq, reads: &[SequencedRead], threads: usize) -> RunReport {
+    let mut ctx = RunContext::new(reference);
+    ctx.threads = threads;
+    DriverRegistry::standard()
+        .get(name)
+        .expect("registered driver")
+        .run(&ctx, engine::ReadSource::Slice(reads), &mut NullSink)
+        .expect("run succeeds")
+}
+
 #[test]
 fn all_four_drivers_agree() {
     let (reference, reads) = workload();
-    let cfg = GnumapConfig::default();
-
-    let serial = run_serial_with::<NormAccumulator>(&reference, &reads, &cfg);
+    let serial = run("serial", &reference, &reads, 1);
     let serial_keys = call_keys(&serial.calls);
     assert!(
         !serial_keys.is_empty(),
         "fixture must produce at least one call"
     );
 
-    let rayon = run_rayon::<NormAccumulator>(&reference, &reads, &cfg, 3);
+    let rayon = run("rayon", &reference, &reads, 3);
     assert_eq!(call_keys(&rayon.calls), serial_keys, "rayon differs");
 
-    let read_split = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 3).unwrap();
+    let read_split = run("read-split", &reference, &reads, 3);
     assert_eq!(
         call_keys(&read_split.calls),
         serial_keys,
         "read-split differs"
     );
 
-    let genome_split = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 3).unwrap();
+    let genome_split = run("genome-split", &reference, &reads, 3);
     assert_eq!(
         call_keys(&genome_split.calls),
         serial_keys,
@@ -87,13 +96,12 @@ fn all_four_drivers_agree() {
 #[test]
 fn rank_count_does_not_change_results() {
     let (reference, reads) = workload();
-    let cfg = GnumapConfig::default();
-    let one = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 1).unwrap();
+    let one = run("read-split", &reference, &reads, 1);
     let keys = call_keys(&one.calls);
     for ranks in [2usize, 4, 7] {
-        let r = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks).unwrap();
+        let r = run("read-split", &reference, &reads, ranks);
         assert_eq!(call_keys(&r.calls), keys, "read-split ranks={ranks}");
-        let g = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, ranks).unwrap();
+        let g = run("genome-split", &reference, &reads, ranks);
         assert_eq!(call_keys(&g.calls), keys, "genome-split ranks={ranks}");
     }
 }
@@ -101,9 +109,8 @@ fn rank_count_does_not_change_results() {
 #[test]
 fn repeated_runs_are_bit_deterministic() {
     let (reference, reads) = workload();
-    let cfg = GnumapConfig::default();
-    let a = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 4).unwrap();
-    let b = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 4).unwrap();
+    let a = run("read-split", &reference, &reads, 4);
+    let b = run("read-split", &reference, &reads, 4);
     assert_eq!(a.calls, b.calls, "same input, same ranks → identical calls");
     assert_eq!(a.reads_mapped, b.reads_mapped);
 }

@@ -59,7 +59,12 @@ fn setup(genome_len: usize, snps: usize, coverage: f64, seed: u64) -> Setup {
 #[test]
 fn pipeline_has_high_sensitivity_and_precision() {
     let s = setup(8_000, 10, 14.0, 1);
-    let report = run_pipeline(&s.reference, &s.reads, &GnumapConfig::default());
+    let report = run_pipeline(
+        &s.reference,
+        &s.reads,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
     let acc = score_snp_calls(&report.calls, &s.truth);
     assert!(acc.sensitivity() >= 0.8, "sensitivity too low: {acc:?}");
     assert!(acc.precision() >= 0.9, "precision too low: {acc:?}");
@@ -91,7 +96,12 @@ fn clean_genome_produces_essentially_no_calls() {
     .into_iter()
     .map(|r| r.read)
     .collect();
-    let report = run_pipeline(&reference, &reads, &GnumapConfig::default());
+    let report = run_pipeline(
+        &reference,
+        &reads,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
     assert!(
         report.calls.len() <= 2,
         "clean genome produced {} calls",
@@ -140,7 +150,12 @@ fn snp_inside_a_repeat_is_still_called() {
     .map(|r| r.read)
     .collect();
 
-    let report = run_pipeline(&reference, &reads, &GnumapConfig::default());
+    let report = run_pipeline(
+        &reference,
+        &reads,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
     assert!(
         report
             .calls
@@ -154,7 +169,12 @@ fn snp_inside_a_repeat_is_still_called() {
 #[test]
 fn fdr_cutoff_is_no_looser_than_alpha() {
     let s = setup(8_000, 10, 12.0, 4);
-    let alpha = run_pipeline(&s.reference, &s.reads, &GnumapConfig::default());
+    let alpha = run_pipeline(
+        &s.reference,
+        &s.reads,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
     let fdr = run_pipeline(
         &s.reference,
         &s.reads,
@@ -165,6 +185,7 @@ fn fdr_cutoff_is_no_looser_than_alpha() {
             },
             ..Default::default()
         },
+        &Observer::disabled(),
     );
     let acc_alpha = score_snp_calls(&alpha.calls, &s.truth);
     let acc_fdr = score_snp_calls(&fdr.calls, &s.truth);
@@ -221,6 +242,7 @@ fn diploid_pipeline_reports_heterozygous_sites() {
             },
             ..Default::default()
         },
+        &Observer::disabled(),
     );
     let truth: Vec<_> = catalog.iter().map(|s| (s.pos, s.alt)).collect();
     let acc = score_snp_calls(&report.calls, &truth);
@@ -287,7 +309,7 @@ fn indel_bearing_reads_still_map_and_call() {
 
     let mut config = GnumapConfig::default();
     config.mapping.window_pad = 3; // room for deletions at the window end
-    let report = run_pipeline(&reference, &reads, &config);
+    let report = run_pipeline(&reference, &reads, &config, &Observer::disabled());
     assert!(
         report.reads_mapped as f64 > reads.len() as f64 * 0.9,
         "indel reads should still map: {}/{}",
@@ -305,13 +327,23 @@ fn quality_aware_calling_beats_quality_blind_data() {
     // the other claims max quality everywhere. The honest run must not be
     // worse — the PWM is the paper's central extension.
     let s = setup(6_000, 8, 12.0, 6);
-    let report_honest = run_pipeline(&s.reference, &s.reads, &GnumapConfig::default());
+    let report_honest = run_pipeline(
+        &s.reference,
+        &s.reads,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
     let lying_reads: Vec<SequencedRead> = s
         .reads
         .iter()
         .map(|r| SequencedRead::with_uniform_quality(r.id.clone(), r.seq.clone(), 60))
         .collect();
-    let report_lying = run_pipeline(&s.reference, &lying_reads, &GnumapConfig::default());
+    let report_lying = run_pipeline(
+        &s.reference,
+        &lying_reads,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
     let acc_honest = score_snp_calls(&report_honest.calls, &s.truth);
     let acc_lying = score_snp_calls(&report_lying.calls, &s.truth);
     assert!(

@@ -69,8 +69,18 @@ fn pipeline_from_files_matches_in_memory_run() {
     assert_eq!(reads_back, reads);
 
     // Run the pipeline from the file-loaded data: identical calls.
-    let from_memory = run_pipeline(&reference, &reads, &GnumapConfig::default());
-    let from_files = run_pipeline(&fasta[0].seq, &reads_back, &GnumapConfig::default());
+    let from_memory = run_pipeline(
+        &reference,
+        &reads,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
+    let from_files = run_pipeline(
+        &fasta[0].seq,
+        &reads_back,
+        &GnumapConfig::default(),
+        &Observer::disabled(),
+    );
     assert_eq!(from_files.calls, from_memory.calls);
 
     // And the calls actually recover the planted SNPs.

@@ -5,8 +5,8 @@
 use gnumap_snp::core::accum::{
     AccumulatorMode, CentDiscAccumulator, CharDiscAccumulator, GenomeAccumulator, NormAccumulator,
 };
-use gnumap_snp::core::driver::read_split::run_read_split;
 use gnumap_snp::core::report::CommModel;
+use gnumap_snp::engine;
 use gnumap_snp::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -85,6 +85,7 @@ fn centdisc_accuracy_collapses_but_chardisc_does_not() {
                 accumulator: mode,
                 ..Default::default()
             },
+            &Observer::disabled(),
         );
         score_snp_calls(&report.calls, &truth)
     };
@@ -112,13 +113,17 @@ fn centdisc_accuracy_collapses_but_chardisc_does_not() {
 #[test]
 fn simulated_scaling_improves_with_ranks() {
     let (reference, _, reads) = workload(15_000, 5, 10.0, 32);
-    let cfg = GnumapConfig::default();
     let model = CommModel::default();
+    let read_split = DriverRegistry::standard();
+    let read_split = read_split.get("read-split").expect("registered driver");
     let best = |ranks: usize| -> f64 {
         // Best of 3 to dodge scheduler interference on busy CI hosts.
         (0..3)
             .map(|_| {
-                run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks)
+                let mut ctx = RunContext::new(&reference);
+                ctx.threads = ranks;
+                read_split
+                    .run(&ctx, engine::ReadSource::Slice(&reads), &mut NullSink)
                     .unwrap()
                     .simulated_parallel_secs(&model)
                     .expect("MPI driver reports rank CPU")
