@@ -1,19 +1,17 @@
 //! Criterion microbenches for the Pair-HMM kernels: forward, backward,
-//! full vs banded, scaled, Viterbi, and the fused zero-allocation scratch
-//! path — the ablations for the banded-DP and scratch-arena design
-//! choices called out in DESIGN.md.
+//! full vs banded, Viterbi, and the fused zero-allocation scratch path —
+//! the ablations for the banded-DP and scratch-arena design choices
+//! called out in DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genome::alphabet::Base;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use pairhmm::backward::backward;
-use pairhmm::banded::{banded_backward, banded_forward};
 use pairhmm::forward::forward;
 use pairhmm::marginal::PosteriorAlignment;
 use pairhmm::params::PhmmParams;
 use pairhmm::pwm::Pwm;
-use pairhmm::scaling::scaled_forward;
 use pairhmm::viterbi::viterbi;
 use pairhmm::{EmissionTable, PhmmScratch};
 use rand::{RngExt, SeedableRng};
@@ -63,7 +61,7 @@ fn bench_forward_by_length(c: &mut Criterion) {
     for len in [36usize, 62, 100, 150] {
         let fx = random_pair(len, 1);
         group.bench_with_input(BenchmarkId::from_parameter(len), &len, |b, _| {
-            b.iter(|| black_box(forward(black_box(fx.emit.view()), &fx.params).total))
+            b.iter(|| black_box(forward(black_box(fx.emit.view()), &fx.params, None).total))
         });
     }
     group.finish();
@@ -73,8 +71,8 @@ fn bench_forward_backward_pair(c: &mut Criterion) {
     let fx = random_pair(62, 2);
     c.bench_function("phmm_forward_backward_62bp", |b| {
         b.iter(|| {
-            let f = forward(black_box(fx.emit.view()), &fx.params);
-            let bwd = backward(black_box(fx.emit.view()), &fx.params);
+            let f = forward(black_box(fx.emit.view()), &fx.params, None);
+            let bwd = backward(black_box(fx.emit.view()), &fx.params, None);
             black_box(f.total + bwd.total)
         })
     });
@@ -84,24 +82,21 @@ fn bench_banded_vs_full(c: &mut Criterion) {
     let mut group = c.benchmark_group("phmm_banded_vs_full_62bp");
     let fx = random_pair(62, 3);
     group.bench_function("full", |b| {
-        b.iter(|| black_box(forward(black_box(fx.emit.view()), &fx.params).total))
+        b.iter(|| black_box(forward(black_box(fx.emit.view()), &fx.params, None).total))
     });
     for w in [2usize, 4, 8, 16] {
         group.bench_with_input(BenchmarkId::new("banded", w), &w, |b, &w| {
-            b.iter(|| black_box(banded_forward(black_box(fx.emit.view()), &fx.params, w).total))
+            b.iter(|| black_box(forward(black_box(fx.emit.view()), &fx.params, Some(w)).total))
         });
     }
-    group.bench_function("banded_backward_w4", |b| {
-        b.iter(|| black_box(banded_backward(black_box(fx.emit.view()), &fx.params, 4).total))
+    group.bench_function("backward_banded_w4", |b| {
+        b.iter(|| black_box(backward(black_box(fx.emit.view()), &fx.params, Some(4)).total))
     });
     group.finish();
 }
 
-fn bench_scaled_and_viterbi(c: &mut Criterion) {
+fn bench_viterbi(c: &mut Criterion) {
     let fx = random_pair(62, 4);
-    c.bench_function("phmm_scaled_forward_62bp", |b| {
-        b.iter(|| black_box(scaled_forward(black_box(fx.emit.view()), &fx.params).log_total))
-    });
     c.bench_function("phmm_viterbi_62bp", |b| {
         b.iter(|| black_box(viterbi(black_box(fx.emit.view()), &fx.params).probability))
     });
@@ -114,7 +109,8 @@ fn bench_marginal_fused_vs_materialized(c: &mut Criterion) {
     let fx = random_pair(62, 5);
     group.bench_function("materialized", |b| {
         b.iter(|| {
-            let post = PosteriorAlignment::from_emissions(black_box(fx.emit.view()), &fx.params);
+            let post =
+                PosteriorAlignment::from_emissions(black_box(fx.emit.view()), &fx.params, None);
             black_box(post.column_posteriors(&fx.pwm))
         })
     });
@@ -148,7 +144,7 @@ criterion_group!(
     bench_forward_by_length,
     bench_forward_backward_pair,
     bench_banded_vs_full,
-    bench_scaled_and_viterbi,
+    bench_viterbi,
     bench_marginal_fused_vs_materialized
 );
 criterion_main!(benches);

@@ -6,8 +6,10 @@
 //!
 //! * the Pair-HMM oracle runs the forward/backward recursions entirely in
 //!   log space with `log_add` (the production tables are linear `f64`),
-//!   and rebuilds the per-column posterior `z` vectors from the log
-//!   tables;
+//!   writes out its own diagonal band, and rebuilds the per-column
+//!   posterior `z` vectors from the log tables. It is checked against
+//!   [`PhmmScratch::posterior_columns`], the kernel the mapper runs,
+//!   unbanded and at the mapper's band, up to 150-bp reads;
 //! * the LRT oracle maximises the constrained multinomial log-likelihoods
 //!   numerically by ternary search over the probability simplex instead of
 //!   using the closed-form MLEs;
@@ -19,9 +21,10 @@
 
 use crate::Outcome;
 use genome::alphabet::{Base, BASES};
+use gnumap_core::MappingConfig;
 use gnumap_stats::lrt::Alternative;
 use gnumap_stats::{diploid_lrt, monoploid_lrt, BaseCounts, ChiSquared};
-use pairhmm::{PhmmParams, PosteriorAlignment, Pwm};
+use pairhmm::{PhmmParams, PhmmScratch, Pwm};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -75,6 +78,9 @@ impl LogTables {
 
 struct LogPhmm {
     ln_emit: Vec<Vec<f64>>,
+    /// Inclusive bounds `[lo, hi]` on `j − i` of the cells the DP may
+    /// fill; `None` is the full table.
+    band: Option<(isize, isize)>,
     ln_tmm: f64,
     ln_tmg: f64,
     ln_tgm: f64,
@@ -85,8 +91,14 @@ struct LogPhmm {
 }
 
 impl LogPhmm {
-    fn new(emit: pairhmm::Emission<'_>, params: &PhmmParams) -> LogPhmm {
+    /// `band = Some(w)` keeps only cells with `j − i` in
+    /// `[min(Δ,0) − w, max(Δ,0) + w]`, `Δ = M − N`; every other cell stays
+    /// at `-inf`. Written out here rather than taken from the kernel so
+    /// the oracle shares no band arithmetic with the code it checks.
+    fn new(emit: pairhmm::Emission<'_>, params: &PhmmParams, band: Option<usize>) -> LogPhmm {
+        let delta = emit.m() as isize - emit.n() as isize;
         LogPhmm {
+            band: band.map(|w| (delta.min(0) - w as isize, delta.max(0) + w as isize)),
             ln_emit: (0..emit.n())
                 .map(|i| emit.row(i).iter().map(|&p| p.ln()).collect())
                 .collect(),
@@ -109,6 +121,11 @@ impl LogPhmm {
         }
     }
 
+    fn in_band(&self, i: usize, j: usize) -> bool {
+        self.band
+            .is_none_or(|(lo, hi)| (lo..=hi).contains(&(j as isize - i as isize)))
+    }
+
     fn forward(&self) -> (LogTables, f64) {
         let mut t = LogTables::new(self.n, self.m);
         t.m[0][0] = 0.0;
@@ -116,7 +133,7 @@ impl LogPhmm {
         // border gap cells stay at -inf — only interior cells are filled,
         // exactly like the production loop.
         for i in 1..=self.n {
-            for j in 1..=self.m {
+            for j in (1..=self.m).filter(|&j| self.in_band(i, j)) {
                 t.m[i][j] = self.ln_emit_at(i, j)
                     + log_add(
                         self.ln_tmm + t.m[i - 1][j - 1],
@@ -142,7 +159,7 @@ impl LogPhmm {
         t.y[self.n][self.m] = 0.0;
         for i in (0..=self.n).rev() {
             for j in (0..=self.m).rev() {
-                if i == self.n && j == self.m {
+                if (i == self.n && j == self.m) || !self.in_band(i, j) {
                     continue;
                 }
                 let diag = self.ln_emit_at(i + 1, j + 1);
@@ -194,30 +211,27 @@ fn oracle_column_posteriors(
     cols
 }
 
-/// One random PWM/window pair: read length `n`, window length `m`, rows
-/// drawn from a normalized positive simplex, windows with occasional
-/// unknown (`None`) bases.
-fn random_case(rng: &mut ChaCha8Rng) -> (Pwm, Vec<Option<Base>>) {
-    let n = rng.random_range(3..11usize);
-    let m = n + rng.random_range(0..4usize);
-    let rows: Vec<[f64; 4]> = (0..n)
-        .map(|_| {
-            let mut row = [0.0f64; 4];
-            // One plausibly-dominant base plus noise, like a real
-            // quality-derived PWM; integer draws keep the shim RNG surface
-            // minimal.
-            for v in row.iter_mut() {
-                *v = (1 + rng.random_range(0..20u32)) as f64;
-            }
-            row[rng.random_range(0..4usize)] += rng.random_range(20..200u32) as f64;
-            let sum: f64 = row.iter().sum();
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-            row
-        })
-        .collect();
-    let window: Vec<Option<Base>> = (0..m)
+/// One PWM row from a normalized positive simplex: noise on every base
+/// plus a boost on `dominant` (random when `None`), like a real
+/// quality-derived PWM. Integer draws keep the shim RNG surface minimal.
+fn random_row(rng: &mut ChaCha8Rng, dominant: Option<usize>) -> [f64; 4] {
+    let mut row = [0.0f64; 4];
+    for v in row.iter_mut() {
+        *v = (1 + rng.random_range(0..20u32)) as f64;
+    }
+    let k = dominant.unwrap_or_else(|| rng.random_range(0..4usize));
+    row[k] += rng.random_range(20..200u32) as f64;
+    let sum: f64 = row.iter().sum();
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
+    row
+}
+
+/// A random genome window of `m` columns with occasional unknown (`None`)
+/// bases.
+fn random_window(rng: &mut ChaCha8Rng, m: usize) -> Vec<Option<Base>> {
+    (0..m)
         .map(|_| {
             if rng.random_bool(0.05) {
                 None
@@ -225,39 +239,85 @@ fn random_case(rng: &mut ChaCha8Rng) -> (Pwm, Vec<Option<Base>>) {
                 Some(BASES[rng.random_range(0..4usize)])
             }
         })
+        .collect()
+}
+
+/// One small random PWM/window pair: read length 3–10, window up to
+/// three columns longer, unrelated to each other.
+fn random_case(rng: &mut ChaCha8Rng) -> (Pwm, Vec<Option<Base>>) {
+    let n = rng.random_range(3..11usize);
+    let m = n + rng.random_range(0..4usize);
+    let rows: Vec<[f64; 4]> = (0..n).map(|_| random_row(rng, None)).collect();
+    (Pwm::from_rows(rows), random_window(rng, m))
+}
+
+/// A production-shaped pair: a `len`-bp read against an equal-length
+/// window, as the mapper scores it. A `sampled` read copies the window
+/// (about 2% substituted) with one base deleted mid-read, so mass sits
+/// on two diagonals; otherwise the read is unrelated and the total is
+/// tiny (below 1e-120 at 150 bp).
+fn production_case(rng: &mut ChaCha8Rng, len: usize, sampled: bool) -> (Pwm, Vec<Option<Base>>) {
+    let window = random_window(rng, len);
+    let deletion = rng.random_range(len / 4..3 * len / 4);
+    let rows: Vec<[f64; 4]> = (0..len)
+        .map(|i| {
+            let source = if i < deletion { i } else { i + 1 };
+            let dominant = window
+                .get(source)
+                .copied()
+                .flatten()
+                .filter(|_| sampled && !rng.random_bool(0.02))
+                .map(|b| b.index());
+            random_row(rng, dominant)
+        })
         .collect();
     (Pwm::from_rows(rows), window)
 }
 
-fn phmm_tier(out: &mut Outcome, cases: usize) {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x0a_c1e);
-    let default = PhmmParams::default();
-    let gappy = PhmmParams::with_gap_rates(0.05, 0.4, 0.04);
-    for case in 0..cases {
-        let (pwm, window) = random_case(&mut rng);
-        let params = if case % 3 == 2 { &gappy } else { &default };
-        let emit = pwm.emission_table(&window, params);
-        let phmm = LogPhmm::new(emit.view(), params);
+/// Check the log-space oracle against the fused kernel on one pair, at
+/// each band in `bands`: oracle forward/backward totals agree, and the
+/// kernel's ln-total and every column `z` vector match the oracle's.
+fn check_phmm_case(
+    out: &mut Outcome,
+    label: &str,
+    pwm: &Pwm,
+    window: &[Option<Base>],
+    params: &PhmmParams,
+    bands: &[Option<usize>],
+    scratch: &mut PhmmScratch,
+) {
+    let emit = pwm.emission_table(window, params);
+    for &band in bands {
+        let phmm = LogPhmm::new(emit.view(), params, band);
         let (lf, lf_total) = phmm.forward();
         let (lb, lb_total) = phmm.backward();
 
         // Oracle self-consistency: both sweep directions recover the same
         // total likelihood.
         out.check((lf_total - lb_total).abs() < 1e-9, || {
-            format!("oracle fwd/bwd totals disagree on case {case}: {lf_total} vs {lb_total}")
-        });
-
-        let prod = PosteriorAlignment::from_emissions(emit.view(), params);
-        let prod_ln_total = prod.total().ln();
-        out.check((lf_total - prod_ln_total).abs() < 1e-9, || {
             format!(
-                "case {case}: production ln(total) {prod_ln_total} vs log-space oracle {lf_total}"
+                "{label} band {band:?}: oracle fwd/bwd totals disagree: {lf_total} vs {lb_total}"
             )
         });
 
-        let oracle_cols = oracle_column_posteriors(&phmm, &lf, &lb, lf_total, &pwm);
-        let prod_cols = prod.column_posteriors(&pwm);
-        for (j, (oracle, prod_col)) in oracle_cols.iter().zip(&prod_cols).enumerate() {
+        let prod_ln_total = scratch.posterior_columns(pwm, window, params, band).ln();
+        out.check((lf_total - prod_ln_total).abs() < 1e-9, || {
+            format!(
+                "{label} band {band:?}: production ln(total) {prod_ln_total} \
+                 vs log-space oracle {lf_total}"
+            )
+        });
+
+        let oracle_cols = oracle_column_posteriors(&phmm, &lf, &lb, lf_total, pwm);
+        let prod_cols = scratch.columns();
+        out.check(prod_cols.len() == oracle_cols.len(), || {
+            format!(
+                "{label} band {band:?}: {} production columns vs {} oracle columns",
+                prod_cols.len(),
+                oracle_cols.len()
+            )
+        });
+        for (j, (oracle, prod_col)) in oracle_cols.iter().zip(prod_cols).enumerate() {
             let max_delta = oracle
                 .iter()
                 .zip(&prod_col.probs)
@@ -265,11 +325,45 @@ fn phmm_tier(out: &mut Outcome, cases: usize) {
                 .fold(0.0f64, f64::max);
             out.check(max_delta < 1e-9, || {
                 format!(
-                    "case {case} column {j}: posterior delta {max_delta:.3e} \
+                    "{label} band {band:?} column {j}: posterior delta {max_delta:.3e} \
                      (oracle {oracle:?} vs production {:?})",
                     prod_col.probs
                 )
             });
+        }
+    }
+}
+
+/// `cases` small random pairs, plus `cases / 6` production-shaped pairs
+/// at each of 62 and 150 bp, each checked unbanded and at the mapper's
+/// default band.
+fn phmm_tier(out: &mut Outcome, cases: usize) {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0a_c1e);
+    let mapper = MappingConfig::default();
+    let bands = [None, mapper.band];
+    let default = PhmmParams::default();
+    let gappy = PhmmParams::with_gap_rates(0.05, 0.4, 0.04);
+    let mut scratch = PhmmScratch::new();
+    for case in 0..cases {
+        let (pwm, window) = random_case(&mut rng);
+        let params = if case % 3 == 2 { &gappy } else { &default };
+        let label = format!("case {case}");
+        check_phmm_case(out, &label, &pwm, &window, params, &bands, &mut scratch);
+    }
+    for len in [62usize, 150] {
+        for case in 0..cases / 6 {
+            let sampled = case % 2 == 0;
+            let (pwm, window) = production_case(&mut rng, len, sampled);
+            let label = format!("{len}-bp case {case}");
+            check_phmm_case(
+                out,
+                &label,
+                &pwm,
+                &window,
+                &mapper.phmm,
+                &bands,
+                &mut scratch,
+            );
         }
     }
 }

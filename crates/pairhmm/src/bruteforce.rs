@@ -157,7 +157,7 @@ mod tests {
         ] {
             let emit = varied_emit(n, m, seed);
             let oracle = enumerate(emit.view(), &params);
-            let f = forward(emit.view(), &params);
+            let f = forward(emit.view(), &params, None);
             assert!(
                 (oracle.total - f.total).abs() <= 1e-13 * oracle.total.max(1e-300),
                 "{n}x{m}: oracle {} vs forward {}",
@@ -173,8 +173,8 @@ mod tests {
         for (n, m, seed) in [(2, 3, 7), (3, 3, 8), (4, 4, 9), (5, 3, 10)] {
             let emit = varied_emit(n, m, seed);
             let oracle = enumerate(emit.view(), &params);
-            let f = forward(emit.view(), &params);
-            let b = backward(emit.view(), &params);
+            let f = forward(emit.view(), &params, None);
+            let b = backward(emit.view(), &params, None);
             for i in 1..=n {
                 for j in 1..=m {
                     let fb_match = f.tables.m.get(i, j) * b.tables.m.get(i, j);

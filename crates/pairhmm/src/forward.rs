@@ -21,6 +21,15 @@
 //! fills flat row-major planes with a vectorizable two-sweep row schedule;
 //! this module wraps it in the materialised-[`DpTables`] API used by
 //! marginals, tests, and the conformance oracles.
+//!
+//! **Banding.** Seed hits pin a read to a diagonal of the genome window,
+//! so alignments wandering far off that diagonal carry negligible
+//! probability. `band = Some(w)` restricts the DP to `j − i ∈ [min(Δ,0) −
+//! w, max(Δ,0) + w]` (`Δ = M − N` absorbs the length difference; see
+//! [`kernel::diagonal_bounds`]), turning the `O(N·M)` kernel into
+//! `O(N·w)`. Cells outside the band are zero, so the banded total is a
+//! lower bound on the full total and converges to it as `w` grows; a band
+//! covering the whole table is the full DP bit for bit.
 
 use crate::emission::Emission;
 use crate::kernel;
@@ -60,8 +69,9 @@ pub struct ForwardResult {
 }
 
 /// Run the forward algorithm over a precomputed flat emission view
-/// `emit.at(i-1, j-1) = p*(i, j)` (shape `N × M`, both ≥ 1).
-pub fn forward(emit: Emission<'_>, params: &PhmmParams) -> ForwardResult {
+/// `emit.at(i-1, j-1) = p*(i, j)` (shape `N × M`, both ≥ 1), optionally
+/// restricted to the diagonal band of half-width `band`.
+pub fn forward(emit: Emission<'_>, params: &PhmmParams, band: Option<usize>) -> ForwardResult {
     let (n, m) = (emit.n(), emit.m());
     let mut t = DpTables::zeros(n, m);
     let total = kernel::forward_planes(
@@ -70,7 +80,7 @@ pub fn forward(emit: Emission<'_>, params: &PhmmParams) -> ForwardResult {
         t.m.as_mut_slice(),
         t.x.as_mut_slice(),
         t.y.as_mut_slice(),
-        None,
+        band.map(|w| kernel::diagonal_bounds(n, m, w)),
     );
     ForwardResult { tables: t, total }
 }
@@ -90,7 +100,7 @@ mod tests {
         // start → M(1,1), probability p*·T_MM.
         let params = PhmmParams::default();
         let emit = uniform_emit(1, 1, 0.9);
-        let f = forward(emit.view(), &params);
+        let f = forward(emit.view(), &params, None);
         assert!((f.total - 0.9 * params.t_mm).abs() < 1e-15);
     }
 
@@ -99,7 +109,7 @@ mod tests {
         // Two read bases, one genome base: M(1,1) then G_X(2,1).
         let params = PhmmParams::default();
         let emit = uniform_emit(2, 1, 0.8);
-        let f = forward(emit.view(), &params);
+        let f = forward(emit.view(), &params, None);
         let expected = 0.8 * params.t_mm * params.q * params.t_mg;
         assert!((f.total - expected).abs() < 1e-15);
         assert_eq!(f.tables.m.get(2, 1), 0.0); // no way to end in M here
@@ -114,7 +124,7 @@ mod tests {
         let params = PhmmParams::default();
         let n = 5;
         let emit = uniform_emit(n, n, 0.95);
-        let f = forward(emit.view(), &params);
+        let f = forward(emit.view(), &params, None);
         let diag = 0.95f64.powi(n as i32) * params.t_mm.powi(n as i32);
         assert!(f.total >= diag);
         // And the total can't exceed 1 for a proper model.
@@ -124,15 +134,15 @@ mod tests {
     #[test]
     fn higher_emission_higher_likelihood() {
         let params = PhmmParams::default();
-        let lo = forward(uniform_emit(4, 4, 0.5).view(), &params).total;
-        let hi = forward(uniform_emit(4, 4, 0.9).view(), &params).total;
+        let lo = forward(uniform_emit(4, 4, 0.5).view(), &params, None).total;
+        let hi = forward(uniform_emit(4, 4, 0.9).view(), &params, None).total;
         assert!(hi > lo);
     }
 
     #[test]
     fn zero_emission_kills_everything() {
         let params = PhmmParams::default();
-        let f = forward(uniform_emit(3, 3, 0.0).view(), &params);
+        let f = forward(uniform_emit(3, 3, 0.0).view(), &params, None);
         assert_eq!(f.total, 0.0);
     }
 
@@ -140,6 +150,6 @@ mod tests {
     #[should_panic]
     fn empty_read_rejected() {
         let empty = EmissionTable::zeros(0, 3);
-        let _ = forward(empty.view(), &PhmmParams::default());
+        let _ = forward(empty.view(), &PhmmParams::default(), None);
     }
 }

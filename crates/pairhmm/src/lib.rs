@@ -21,16 +21,17 @@
 //!   backward recursions (full-table and banded via one `Band` parameter).
 //! * [`scratch`]  — [`PhmmScratch`], the per-thread reusable arena with
 //!   the fused backward+marginal streaming pass (zero steady-state
-//!   allocations).
+//!   allocations). Its [`PhmmScratch::posterior_columns`] is the one
+//!   Pair-HMM entry the mapper runs.
 //! * [`matrix`]   — dense `f64` DP matrices.
-//! * [`mod@forward`] / [`mod@backward`] — the dynamic programs of Section VI Step 2.
-//! * [`marginal`] — posterior cell probabilities and per-column `z` vectors.
+//! * [`mod@forward`] / [`mod@backward`] — the dynamic programs of Section VI
+//!   Step 2, materialised, full or banded via a trailing `band` argument.
+//! * [`marginal`] — posterior cell probabilities and per-column `z`
+//!   vectors over the materialised tables: the bit-exact reference for
+//!   the fused pass.
 //! * [`mod@viterbi`]  — single best alignment (for comparison and examples).
-//! * [`banded`]   — banded variants of the forward/backward recursions.
-//! * [`logspace`] — log-sum-exp forward, a third independent numeric
-//!   backend used for cross-validation.
-//! * [`scaling`]  — row-rescaled forward/backward for very long reads.
-//! * [`bruteforce`] — exhaustive alignment enumeration (test oracle).
+//! * [`bruteforce`] — exhaustive alignment enumeration (test oracle). The
+//!   independent log-space oracle lives in the conformance crate.
 //!
 //! ### Fidelity notes
 //!
@@ -45,17 +46,14 @@
 //! deletion marginals of a column already sum to one.
 
 pub mod backward;
-pub mod banded;
 pub mod bruteforce;
 pub mod emission;
 pub mod forward;
 pub mod kernel;
-pub mod logspace;
 pub mod marginal;
 pub mod matrix;
 pub mod params;
 pub mod pwm;
-pub mod scaling;
 pub mod scratch;
 pub mod viterbi;
 

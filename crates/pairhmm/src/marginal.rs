@@ -58,37 +58,30 @@ pub struct PosteriorAlignment {
 }
 
 impl PosteriorAlignment {
-    /// Run forward and backward over a precomputed emission view.
-    pub fn from_emissions(emit: Emission<'_>, params: &PhmmParams) -> PosteriorAlignment {
-        let (n, m) = (emit.n(), emit.m());
-        let fwd = forward(emit, params);
-        let bwd = backward(emit, params);
-        PosteriorAlignment { fwd, bwd, n, m }
-    }
-
-    /// Banded variant: forward and backward restricted to a diagonal band
-    /// of half-width `w` (see [`crate::banded`]). Posteriors outside the
-    /// band are zero; within it they are exact for the banded model.
-    pub fn from_emissions_banded(
+    /// Run forward and backward over a precomputed emission view,
+    /// optionally restricted to the diagonal band of half-width `band`
+    /// (see [`crate::forward`]). Posteriors outside the band are zero;
+    /// within it they are exact for the banded model.
+    pub fn from_emissions(
         emit: Emission<'_>,
         params: &PhmmParams,
-        w: usize,
+        band: Option<usize>,
     ) -> PosteriorAlignment {
         let (n, m) = (emit.n(), emit.m());
-        let fwd = crate::banded::banded_forward(emit, params, w);
-        let bwd = crate::banded::banded_backward(emit, params, w);
+        let fwd = forward(emit, params, band);
+        let bwd = backward(emit, params, band);
         PosteriorAlignment { fwd, bwd, n, m }
     }
 
     /// Convenience: build the emission table from a PWM and window, then
-    /// compute.
+    /// compute the unbanded posteriors.
     pub fn compute(
         pwm: &Pwm,
         window: &[Option<genome::alphabet::Base>],
         params: &PhmmParams,
     ) -> PosteriorAlignment {
         let emit = pwm.emission_table(window, params);
-        PosteriorAlignment::from_emissions(emit.view(), params)
+        PosteriorAlignment::from_emissions(emit.view(), params, None)
     }
 
     /// Read length `N`.
@@ -274,7 +267,7 @@ mod tests {
         // Zero-probability pair via impossible emissions.
         let params = PhmmParams::default();
         let emit = crate::emission::EmissionTable::zeros(3, 3);
-        let post = PosteriorAlignment::from_emissions(emit.view(), &params);
+        let post = PosteriorAlignment::from_emissions(emit.view(), &params, None);
         assert_eq!(post.total(), 0.0);
         let pwm = Pwm::certain(&[Base::A, Base::A, Base::A]);
         let cols = post.column_posteriors(&pwm);

@@ -2,11 +2,10 @@
 //!
 //! [`PhmmScratch`] owns every buffer one posterior alignment needs — the
 //! flat emission table, the three retained forward planes, six rolling
-//! backward rows, the per-column `z`-vector accumulator, and a scale
-//! vector for the rescaled forward variant. Buffers grow monotonically and
-//! are reused across a thread's whole read batch, so after the first few
-//! alignments warm them up the steady-state loop performs **zero heap
-//! allocations per read × window pair**.
+//! backward rows, and the per-column `z`-vector accumulator. Buffers grow
+//! monotonically and are reused across a thread's whole read batch, so
+//! after the first few alignments warm them up the steady-state loop
+//! performs **zero heap allocations per read × window pair**.
 //!
 //! The fused pass ([`PhmmScratch::posterior_columns`]) never materialises
 //! the backward tables: it streams two rolling backward rows (`i+1` and
@@ -42,8 +41,6 @@ pub struct PhmmScratch {
     bx_next: Vec<f64>,
     by_cur: Vec<f64>,
     by_next: Vec<f64>,
-    /// Per-row scale factors for the rescaled forward pass.
-    scale: Vec<f64>,
     /// Column posterior accumulator, length `M` after a call.
     cols: Vec<ColumnPosterior>,
 }
@@ -71,12 +68,6 @@ impl PhmmScratch {
         &self.cols
     }
 
-    /// Fill the internal flat emission table for `pwm` against `window`
-    /// and return a view of it alongside the shape.
-    fn fill_emission(&mut self, pwm: &Pwm, window: &[Option<Base>], params: &PhmmParams) {
-        pwm.fill_emission(window, params, &mut self.emit);
-    }
-
     /// Full fused posterior alignment of one read (PWM) against one
     /// window: emission build → forward into retained planes → streaming
     /// backward fused with `z`-vector accumulation. Returns the total
@@ -86,7 +77,7 @@ impl PhmmScratch {
     ///
     /// `band` is the optional diagonal half-width: `Some(w)` restricts
     /// both passes to the band of [`kernel::diagonal_bounds`], exactly
-    /// like `PosteriorAlignment::from_emissions_banded`.
+    /// like `PosteriorAlignment::from_emissions` with the same `band`.
     pub fn posterior_columns(
         &mut self,
         pwm: &Pwm,
@@ -99,7 +90,7 @@ impl PhmmScratch {
         assert!(n >= 1, "read must be non-empty");
         assert!(m >= 1, "window must be non-empty");
 
-        self.fill_emission(pwm, window, params);
+        pwm.fill_emission(window, params, &mut self.emit);
         let band: Band = band.map(|w| kernel::diagonal_bounds(n, m, w));
 
         let stride = m + 1;
@@ -257,37 +248,6 @@ impl PhmmScratch {
         }
 
         total
-    }
-
-    /// Rescaled forward pass (for the long-read regime where the plain
-    /// forward underflows): returns `ln P(x, y)`, reusing the arena's
-    /// forward planes and scale vector. Full-table only (no band), exactly
-    /// mirroring [`crate::scaling::scaled_forward`].
-    pub fn scaled_log_total(
-        &mut self,
-        pwm: &Pwm,
-        window: &[Option<Base>],
-        params: &PhmmParams,
-    ) -> f64 {
-        let n = pwm.len();
-        let m = window.len();
-        assert!(n >= 1, "read must be non-empty");
-        assert!(m >= 1, "window must be non-empty");
-        self.fill_emission(pwm, window, params);
-        let stride = m + 1;
-        ensure(&mut self.fm, (n + 1) * stride);
-        ensure(&mut self.fx, (n + 1) * stride);
-        ensure(&mut self.fy, (n + 1) * stride);
-        ensure(&mut self.scale, n + 1);
-        let emit = Emission::new(&self.emit[..n * m], n, m);
-        crate::scaling::scaled_forward_into(
-            emit,
-            params,
-            &mut self.fm,
-            &mut self.fx,
-            &mut self.fy,
-            &mut self.scale,
-        )
     }
 }
 

@@ -222,7 +222,7 @@ mod tests {
         for (r, g) in [("ACGT", "ACCT"), ("AAAA", "TTTT"), ("ACGTACG", "ACGTTCG")] {
             let emit = emit_for(r, g, 25, &params);
             let v = viterbi(emit.view(), &params);
-            let f = forward(emit.view(), &params);
+            let f = forward(emit.view(), &params, None);
             assert!(
                 v.probability <= f.total * (1.0 + 1e-12),
                 "viterbi {} > total {}",

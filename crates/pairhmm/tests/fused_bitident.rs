@@ -3,15 +3,12 @@
 //! the materialized forward/backward implementation — on randomized PWMs,
 //! window lengths 1..=64, banded and unbanded, with and without scratch
 //! reuse — and the banded DP must collapse to the full DP bitwise when the
-//! band covers every cell. The scaled-forward scratch entry must likewise
-//! reproduce [`pairhmm::scaling::scaled_forward`] exactly on reads long
-//! enough to trigger rescaling.
+//! band covers every cell.
 
 use genome::alphabet::{Base, BASES};
 use pairhmm::marginal::PosteriorAlignment;
 use pairhmm::params::PhmmParams;
 use pairhmm::pwm::Pwm;
-use pairhmm::scaling::scaled_forward;
 use pairhmm::PhmmScratch;
 use proptest::prelude::*;
 
@@ -62,10 +59,7 @@ fn check_bitident(
     scratch: &mut PhmmScratch,
 ) -> TestCaseResult {
     let emit = pwm.emission_table(window, params);
-    let post = match band {
-        Some(w) => PosteriorAlignment::from_emissions_banded(emit.view(), params, w),
-        None => PosteriorAlignment::from_emissions(emit.view(), params),
-    };
+    let post = PosteriorAlignment::from_emissions(emit.view(), params, band);
     let fused_total = scratch.posterior_columns(pwm, window, params, band);
     prop_assert_eq!(
         fused_total.to_bits(),
@@ -119,8 +113,8 @@ proptest! {
         let (pwm, window, params) = case;
         let w = pwm.len().max(window.len());
         let emit = pwm.emission_table(&window, &params);
-        let full = PosteriorAlignment::from_emissions(emit.view(), &params);
-        let banded = PosteriorAlignment::from_emissions_banded(emit.view(), &params, w);
+        let full = PosteriorAlignment::from_emissions(emit.view(), &params, None);
+        let banded = PosteriorAlignment::from_emissions(emit.view(), &params, Some(w));
         prop_assert_eq!(banded.total().to_bits(), full.total().to_bits());
         let fc = full.column_posteriors(&pwm);
         let bc = banded.column_posteriors(&pwm);
@@ -129,16 +123,6 @@ proptest! {
                 prop_assert_eq!(a.probs[k].to_bits(), b.probs[k].to_bits());
             }
         }
-    }
-
-    #[test]
-    fn scaled_scratch_entry_matches_allocating_wrapper(case in case_strategy()) {
-        let (pwm, window, params) = case;
-        let emit = pwm.emission_table(&window, &params);
-        let reference = scaled_forward(emit.view(), &params).log_total;
-        let mut scratch = PhmmScratch::new();
-        let fused = scratch.scaled_log_total(&pwm, &window, &params);
-        prop_assert_eq!(fused.to_bits(), reference.to_bits());
     }
 }
 
@@ -188,10 +172,7 @@ fn reused_scratch_is_bit_identical_across_random_case_stream() {
         };
 
         let emit = pwm.emission_table(&window, &params);
-        let post = match band {
-            Some(w) => PosteriorAlignment::from_emissions_banded(emit.view(), &params, w),
-            None => PosteriorAlignment::from_emissions(emit.view(), &params),
-        };
+        let post = PosteriorAlignment::from_emissions(emit.view(), &params, band);
         let fused_total = scratch.posterior_columns(&pwm, &window, &params, band);
         assert_eq!(
             fused_total.to_bits(),
@@ -209,49 +190,5 @@ fn reused_scratch_is_bit_identical_across_random_case_stream() {
                 );
             }
         }
-    }
-}
-
-/// Long reads with deliberately tiny emissions drive the plain forward DP
-/// into underflow; the scaled scratch entry must keep matching the
-/// allocating scaled forward bit-for-bit in that regime, including when
-/// the scratch is reused across lengths.
-#[test]
-fn scaled_bitident_on_scaling_triggering_long_reads() {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5ca1ed);
-    let params = PhmmParams::default();
-    let mut scratch = PhmmScratch::new();
-    for &len in &[560usize, 640, 720] {
-        // A low-information PWM (all rows near-uniform) makes every
-        // emission ≈ ¼, so the total decays like 4^-len — below
-        // f64::MIN_POSITIVE (≈ e^-708) once len exceeds ~550.
-        let rows: Vec<[f64; 4]> = (0..len)
-            .map(|_| {
-                let mut row = [0.0f64; 4];
-                for v in row.iter_mut() {
-                    *v = (100 + rng.random_range(0..10u32)) as f64;
-                }
-                let sum: f64 = row.iter().sum();
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
-                row
-            })
-            .collect();
-        let pwm = Pwm::from_rows(rows);
-        let window: Vec<Option<Base>> = (0..len)
-            .map(|_| Some(BASES[rng.random_range(0..4usize)]))
-            .collect();
-        let emit = pwm.emission_table(&window, &params);
-        assert_eq!(
-            pairhmm::forward::forward(emit.view(), &params).total,
-            0.0,
-            "expected the plain DP to underflow at len {len}"
-        );
-        let reference = scaled_forward(emit.view(), &params).log_total;
-        assert!(reference.is_finite() && reference < -700.0);
-        let fused = scratch.scaled_log_total(&pwm, &window, &params);
-        assert_eq!(fused.to_bits(), reference.to_bits(), "len {len}");
     }
 }

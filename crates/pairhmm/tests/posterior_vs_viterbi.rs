@@ -32,7 +32,7 @@ fn posterior_argmax_matches_viterbi_on_clean_pairs() {
         assert!(v.ops.iter().all(|&o| o == AlignOp::Match));
         // For each read base, the posterior-argmax genome column must be
         // the diagonal one Viterbi chose.
-        let post = PosteriorAlignment::from_emissions(emit.view(), &params);
+        let post = PosteriorAlignment::from_emissions(emit.view(), &params, None);
         for i in 1..=r.len() {
             let best_j = (1..=g.len())
                 .max_by(|&a, &b| {
@@ -68,7 +68,7 @@ fn posterior_argmax_matches_viterbi_through_an_indel() {
         .iter()
         .filter(|&&o| o != AlignOp::InsRead)
         .count();
-    let post = PosteriorAlignment::from_emissions(emit.view(), &params);
+    let post = PosteriorAlignment::from_emissions(emit.view(), &params, None);
     let del_mass: f64 = (1..=14)
         .map(|i| post.deletion_posterior(i, skipped_col))
         .sum();
@@ -85,7 +85,7 @@ fn viterbi_probability_is_a_large_share_on_unambiguous_pairs() {
     let params = PhmmParams::default();
     let (emit, _) = emit_for("ACGGTTCAGGCATTGC", "ACGGTTCAGGCATTGC", 40, &params);
     let v = viterbi(emit.view(), &params);
-    let total = pairhmm::forward::forward(emit.view(), &params).total;
+    let total = pairhmm::forward::forward(emit.view(), &params, None).total;
     assert!(
         v.probability / total > 0.9,
         "share {}",

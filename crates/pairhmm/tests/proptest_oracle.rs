@@ -7,7 +7,6 @@ use pairhmm::bruteforce::enumerate;
 use pairhmm::emission::EmissionTable;
 use pairhmm::forward::forward;
 use pairhmm::params::PhmmParams;
-use pairhmm::scaling::scaled_forward;
 use proptest::prelude::*;
 
 /// Random valid Pair-HMM parameters.
@@ -35,7 +34,7 @@ proptest! {
         params in params_strategy(),
     ) {
         let oracle = enumerate(emit.view(), &params);
-        let f = forward(emit.view(), &params);
+        let f = forward(emit.view(), &params, None);
         let tol = 1e-12 * oracle.total.max(1e-300);
         prop_assert!((oracle.total - f.total).abs() <= tol,
             "oracle {} vs forward {}", oracle.total, f.total);
@@ -47,8 +46,8 @@ proptest! {
         params in params_strategy(),
     ) {
         let oracle = enumerate(emit.view(), &params);
-        let f = forward(emit.view(), &params);
-        let b = backward(emit.view(), &params);
+        let f = forward(emit.view(), &params, None);
+        let b = backward(emit.view(), &params, None);
         let n = emit.n();
         let m = emit.m();
         let tol = 1e-11 * oracle.total.max(1e-300);
@@ -69,8 +68,8 @@ proptest! {
         emit in emit_strategy(12, 12),
         params in params_strategy(),
     ) {
-        let f = forward(emit.view(), &params).total;
-        let b = backward(emit.view(), &params).total;
+        let f = forward(emit.view(), &params, None).total;
+        let b = backward(emit.view(), &params, None).total;
         prop_assert!((f - b).abs() <= 1e-11 * f.max(1e-300),
             "fwd {f} vs bwd {b}");
     }
@@ -80,8 +79,8 @@ proptest! {
         emit in emit_strategy(9, 9),
         params in params_strategy(),
     ) {
-        let f = forward(emit.view(), &params);
-        let b = backward(emit.view(), &params);
+        let f = forward(emit.view(), &params, None);
+        let b = backward(emit.view(), &params, None);
         let n = emit.n();
         let m = emit.m();
         prop_assume!(f.total > 1e-280); // skip degenerate all-but-zero cases
@@ -103,17 +102,5 @@ proptest! {
             prop_assert!((acc - f.total).abs() <= 1e-9 * f.total,
                 "column {j} flow {acc} != {}", f.total);
         }
-    }
-
-    #[test]
-    fn scaled_forward_matches_plain_log(
-        emit in emit_strategy(15, 15),
-        params in params_strategy(),
-    ) {
-        let plain = forward(emit.view(), &params).total;
-        prop_assume!(plain > 0.0);
-        let scaled = scaled_forward(emit.view(), &params).log_total;
-        prop_assert!((scaled - plain.ln()).abs() < 1e-8,
-            "scaled {scaled} vs ln(plain) {}", plain.ln());
     }
 }

@@ -92,7 +92,13 @@ grep -qv "^#" "$smoke_dir/served.vcf" || {
     echo "served VCF has no call records"; exit 1;
 }
 
-echo "==> benchmark harness smoke: scripts/bench.sh --quick"
-scripts/bench.sh --quick
+echo "==> benchmark smoke: perfbench deep-small, FASTQ to VCF, traced"
+# The real end-to-end benchmark on its smallest workload; the last line
+# printed is the result object, which must report a correct run.
+bench_result="$(python3 perfbench/run.py --workload deep-small --seed 1 \
+    --seconds 2 --trace 1 | tail -n 1)"
+grep -q '"correct": true' <<<"$bench_result" || {
+    echo "perfbench smoke run was not correct:"; echo "$bench_result"; exit 1;
+}
 
 echo "CI gate passed."
