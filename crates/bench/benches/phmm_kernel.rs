@@ -1,9 +1,10 @@
 //! Criterion microbenches for the Pair-HMM kernels: forward, backward,
-//! full vs banded, Viterbi, and the fused zero-allocation scratch path —
-//! the ablations for the banded-DP and scratch-arena design choices
-//! called out in DESIGN.md.
+//! full vs banded, Viterbi, and the fused zero-allocation scratch path,
+//! one window at a time and four in lockstep — the ablations for the
+//! banded-DP, scratch-arena and lane design choices called out in
+//! DESIGN.md.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use genome::alphabet::Base;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
@@ -103,7 +104,8 @@ fn bench_viterbi(c: &mut Criterion) {
 }
 
 /// The materialized-tables marginal pass vs the fused streaming scratch
-/// path — the headline ablation for the scratch-arena refactor.
+/// path — the headline ablation for the scratch-arena refactor — and the
+/// fused path's four-lane lockstep form.
 fn bench_marginal_fused_vs_materialized(c: &mut Criterion) {
     let mut group = c.benchmark_group("phmm_marginal_62bp");
     let fx = random_pair(62, 5);
@@ -136,6 +138,51 @@ fn bench_marginal_fused_vs_materialized(c: &mut Criterion) {
             ))
         })
     });
+    // The lockstep path the mapper runs: one read against 1, 4 and 64
+    // windows of its length at band 4, four lanes at a time. The rate is
+    // windows per second, the per-window cost next to the one-window row
+    // above: 1 window is a lone window on one lane, 4 one full group, 64
+    // a read at the candidate cap. The read's blend rows are rebuilt each
+    // iteration, as the mapper builds them once per oriented read.
+    let mut rng = ChaCha8Rng::seed_from_u64(6);
+    let windows: Vec<Vec<Option<Base>>> = (0..64)
+        .map(|_| {
+            fx.window
+                .iter()
+                .map(|&b| {
+                    if rng.random_bool(0.05) {
+                        Some(Base::from_index(rng.random_range(0..4)))
+                    } else {
+                        b
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut lane_scratch = PhmmScratch::new();
+    let mut blend = Vec::new();
+    for count in [1usize, 4, 64] {
+        group.throughput(Throughput::Elements(count as u64));
+        group.bench_with_input(
+            BenchmarkId::new("posterior_columns_lanes", count),
+            &count,
+            |b, &count| {
+                b.iter(|| {
+                    fx.pwm.fill_blend(&fx.params, &mut blend);
+                    let mut sink = 0.0;
+                    lane_scratch.score_windows(
+                        black_box(&fx.pwm),
+                        &blend,
+                        black_box(&windows[..count]),
+                        &fx.params,
+                        Some(4),
+                        |_, total, _| sink += total,
+                    );
+                    black_box(sink)
+                })
+            },
+        );
+    }
     group.finish();
 }
 

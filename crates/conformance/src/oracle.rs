@@ -8,8 +8,10 @@
 //!   log space with `log_add` (the production tables are linear `f64`),
 //!   writes out its own diagonal band, and rebuilds the per-column
 //!   posterior `z` vectors from the log tables. It is checked against
-//!   [`PhmmScratch::posterior_columns`], the kernel the mapper runs,
-//!   unbanded and at the mapper's band, up to 150-bp reads;
+//!   the kernel the mapper runs — its one-lane
+//!   [`PhmmScratch::posterior_columns`] and every lane of a four-lane
+//!   [`PhmmScratch::posterior_lanes`] group — unbanded and at the
+//!   mapper's band, up to 150-bp reads;
 //! * the LRT oracle maximises the constrained multinomial log-likelihoods
 //!   numerically by ternary search over the probability simplex instead of
 //!   using the closed-form MLEs;
@@ -24,7 +26,7 @@ use genome::alphabet::{Base, BASES};
 use gnumap_core::MappingConfig;
 use gnumap_stats::lrt::Alternative;
 use gnumap_stats::{diploid_lrt, monoploid_lrt, BaseCounts, ChiSquared};
-use pairhmm::{PhmmParams, PhmmScratch, Pwm};
+use pairhmm::{ColumnPosterior, PhmmParams, PhmmScratch, Pwm};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -274,71 +276,139 @@ fn production_case(rng: &mut ChaCha8Rng, len: usize, sampled: bool) -> (Pwm, Vec
     (Pwm::from_rows(rows), window)
 }
 
-/// Check the log-space oracle against the fused kernel on one pair, at
-/// each band in `bands`: oracle forward/backward totals agree, and the
-/// kernel's ln-total and every column `z` vector match the oracle's.
-fn check_phmm_case(
+/// The log-space oracle's ln-total and column `z` vectors for one pair
+/// at one band, after checking that both sweep directions recover the
+/// same total likelihood.
+fn oracle_pair(
     out: &mut Outcome,
     label: &str,
     pwm: &Pwm,
     window: &[Option<Base>],
     params: &PhmmParams,
+    band: Option<usize>,
+) -> (f64, Vec<[f64; 5]>) {
+    let emit = pwm.emission_table(window, params);
+    let phmm = LogPhmm::new(emit.view(), params, band);
+    let (lf, lf_total) = phmm.forward();
+    let (lb, lb_total) = phmm.backward();
+    out.check((lf_total - lb_total).abs() < 1e-9, || {
+        format!("{label} band {band:?}: oracle fwd/bwd totals disagree: {lf_total} vs {lb_total}")
+    });
+    let cols = oracle_column_posteriors(&phmm, &lf, &lb, lf_total, pwm);
+    (lf_total, cols)
+}
+
+/// Check one kernel result — its total and every column `z` vector —
+/// against the oracle's for the same pair and band.
+fn check_against_oracle(
+    out: &mut Outcome,
+    label: &str,
+    band: Option<usize>,
+    (ln_total, oracle_cols): &(f64, Vec<[f64; 5]>),
+    prod_total: f64,
+    prod_cols: &[ColumnPosterior],
+) {
+    let prod_ln_total = prod_total.ln();
+    out.check((ln_total - prod_ln_total).abs() < 1e-9, || {
+        format!(
+            "{label} band {band:?}: production ln(total) {prod_ln_total} \
+             vs log-space oracle {ln_total}"
+        )
+    });
+    out.check(prod_cols.len() == oracle_cols.len(), || {
+        format!(
+            "{label} band {band:?}: {} production columns vs {} oracle columns",
+            prod_cols.len(),
+            oracle_cols.len()
+        )
+    });
+    for (j, (oracle, prod_col)) in oracle_cols.iter().zip(prod_cols).enumerate() {
+        let max_delta = oracle
+            .iter()
+            .zip(&prod_col.probs)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        out.check(max_delta < 1e-9, || {
+            format!(
+                "{label} band {band:?} column {j}: posterior delta {max_delta:.3e} \
+                 (oracle {oracle:?} vs production {:?})",
+                prod_col.probs
+            )
+        });
+    }
+}
+
+/// Check the log-space oracle against the fused kernel on one pair, at
+/// each band in `bands`: once on the one-lane `posterior_columns`, and
+/// once with the window scored in a four-lane `posterior_lanes` group
+/// beside three `partners` of the same length, where every lane is
+/// checked against its own window's oracle.
+#[allow(clippy::too_many_arguments)]
+fn check_phmm_case(
+    out: &mut Outcome,
+    label: &str,
+    pwm: &Pwm,
+    window: &[Option<Base>],
+    partners: &[Vec<Option<Base>>; 3],
+    params: &PhmmParams,
     bands: &[Option<usize>],
     scratch: &mut PhmmScratch,
 ) {
-    let emit = pwm.emission_table(window, params);
+    let mut blend = Vec::new();
+    pwm.fill_blend(params, &mut blend);
+    let group: [&[Option<Base>]; 4] = [window, &partners[0], &partners[1], &partners[2]];
     for &band in bands {
-        let phmm = LogPhmm::new(emit.view(), params, band);
-        let (lf, lf_total) = phmm.forward();
-        let (lb, lb_total) = phmm.backward();
+        let oracles: Vec<_> = group
+            .iter()
+            .enumerate()
+            .map(|(l, w)| oracle_pair(out, &format!("{label} lane {l}"), pwm, w, params, band))
+            .collect();
 
-        // Oracle self-consistency: both sweep directions recover the same
-        // total likelihood.
-        out.check((lf_total - lb_total).abs() < 1e-9, || {
-            format!(
-                "{label} band {band:?}: oracle fwd/bwd totals disagree: {lf_total} vs {lb_total}"
-            )
-        });
+        let total = scratch.posterior_columns(pwm, window, params, band);
+        check_against_oracle(out, label, band, &oracles[0], total, scratch.columns());
 
-        let prod_ln_total = scratch.posterior_columns(pwm, window, params, band).ln();
-        out.check((lf_total - prod_ln_total).abs() < 1e-9, || {
-            format!(
-                "{label} band {band:?}: production ln(total) {prod_ln_total} \
-                 vs log-space oracle {lf_total}"
-            )
-        });
-
-        let oracle_cols = oracle_column_posteriors(&phmm, &lf, &lb, lf_total, pwm);
-        let prod_cols = scratch.columns();
-        out.check(prod_cols.len() == oracle_cols.len(), || {
-            format!(
-                "{label} band {band:?}: {} production columns vs {} oracle columns",
-                prod_cols.len(),
-                oracle_cols.len()
-            )
-        });
-        for (j, (oracle, prod_col)) in oracle_cols.iter().zip(prod_cols).enumerate() {
-            let max_delta = oracle
-                .iter()
-                .zip(&prod_col.probs)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            out.check(max_delta < 1e-9, || {
-                format!(
-                    "{label} band {band:?} column {j}: posterior delta {max_delta:.3e} \
-                     (oracle {oracle:?} vs production {:?})",
-                    prod_col.probs
-                )
-            });
+        let totals = scratch.posterior_lanes(pwm, &blend, group, params, band);
+        for (l, (oracle, &total)) in oracles.iter().zip(&totals).enumerate() {
+            let lane_label = format!("{label} lane {l}");
+            check_against_oracle(
+                out,
+                &lane_label,
+                band,
+                oracle,
+                total,
+                scratch.lane_columns(l),
+            );
         }
     }
 }
 
+/// Three lockstep partners for `window`: copies with 5%, 10% and 15% of
+/// their columns redrawn, like the diverged repeat copies a read's
+/// candidate windows often are. Drawn from `rng`, a stream of its own,
+/// so the cases themselves do not depend on the partners.
+fn partners(rng: &mut ChaCha8Rng, window: &[Option<Base>]) -> [Vec<Option<Base>>; 3] {
+    std::array::from_fn(|k| {
+        let redraw = random_window(rng, window.len());
+        window
+            .iter()
+            .zip(redraw)
+            .map(|(&b, r)| {
+                if rng.random_bool(0.05 * (k + 1) as f64) {
+                    r
+                } else {
+                    b
+                }
+            })
+            .collect()
+    })
+}
+
 /// `cases` small random pairs, plus `cases / 6` production-shaped pairs
 /// at each of 62 and 150 bp, each checked unbanded and at the mapper's
-/// default band.
+/// default band, one lane and four lanes.
 fn phmm_tier(out: &mut Outcome, cases: usize) {
     let mut rng = ChaCha8Rng::seed_from_u64(0x0a_c1e);
+    let mut partner_rng = ChaCha8Rng::seed_from_u64(0x1a_e5);
     let mapper = MappingConfig::default();
     let bands = [None, mapper.band];
     let default = PhmmParams::default();
@@ -346,20 +416,32 @@ fn phmm_tier(out: &mut Outcome, cases: usize) {
     let mut scratch = PhmmScratch::new();
     for case in 0..cases {
         let (pwm, window) = random_case(&mut rng);
+        let partners = partners(&mut partner_rng, &window);
         let params = if case % 3 == 2 { &gappy } else { &default };
         let label = format!("case {case}");
-        check_phmm_case(out, &label, &pwm, &window, params, &bands, &mut scratch);
+        check_phmm_case(
+            out,
+            &label,
+            &pwm,
+            &window,
+            &partners,
+            params,
+            &bands,
+            &mut scratch,
+        );
     }
     for len in [62usize, 150] {
         for case in 0..cases / 6 {
             let sampled = case % 2 == 0;
             let (pwm, window) = production_case(&mut rng, len, sampled);
+            let partners = partners(&mut partner_rng, &window);
             let label = format!("{len}-bp case {case}");
             check_phmm_case(
                 out,
                 &label,
                 &pwm,
                 &window,
+                &partners,
                 &mapper.phmm,
                 &bands,
                 &mut scratch,

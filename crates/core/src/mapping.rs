@@ -27,16 +27,17 @@ pub struct MappingConfig {
     pub phmm: PhmmParams,
     /// Banded-DP half width; `None` runs the full quadratic DP.
     pub band: Option<usize>,
-    /// Genome bases added on each side of a candidate placement window,
+    /// Genome bases appended to the right of each candidate placement,
     /// giving the alignment room for small indels. The model's boundary
     /// conditions force alignments to *begin* with `x_1 : y_1` matched
-    /// (paper initialisation), so a left pad shifts the read into the pad
-    /// — windows are therefore padded on the right only when `window_pad
-    /// > 0`, and candidates too close to the genome start for a full
-    /// > window are dropped so every candidate is scored over the same
-    /// > window length (posterior weights must be comparable across
-    /// > locations). The default of 0 matches the substitution-dominated
-    /// > short-read regime; raise it to give indels room.
+    /// (paper initialisation), so a left pad would shift the read into
+    /// the pad; windows are padded on the right only. Every candidate is
+    /// scored over the same window length, read length plus this pad, so
+    /// posterior weights are comparable across locations. Candidates
+    /// whose read would run past the genome end are dropped, and pad
+    /// bases past the end become virtual `N`s. The default of 0 matches
+    /// the substitution-dominated short-read regime; raise it to give
+    /// indels room.
     pub window_pad: usize,
     /// Candidate locations with posterior weight below this are dropped
     /// (and the rest renormalised).
@@ -61,11 +62,12 @@ impl Default for MappingConfig {
 /// Reusable per-thread scratch for the whole mapping hot path.
 ///
 /// One instance is meant to live as long as a worker thread's read batch:
-/// the Pair-HMM planes, the window buffer, the candidate list and the
-/// column arena are all grow-only, so after the first few reads the
-/// engine performs **zero heap allocations per read×window pair**
-/// (per-read allocations — the reverse complement and the PWM — remain,
-/// but are independent of the candidate count). Results of
+/// the Pair-HMM planes, the window buffers, the read's blend rows, the
+/// candidate list and the column arena are all grow-only, so after the
+/// first few reads the engine performs **zero heap allocations per
+/// read×window pair** (per-read allocations — the reverse complement and
+/// the PWM — remain, but are independent of the candidate count).
+/// Results of
 /// [`MappingEngine::map_read_with`] / [`MappingEngine::map_read_raw_with`]
 /// are left inside the scratch and read back through
 /// [`AlignScratch::alignments`].
@@ -73,8 +75,11 @@ impl Default for MappingConfig {
 pub struct AlignScratch {
     /// Pair-HMM emission/DP/rolling-row arena (see [`PhmmScratch`]).
     phmm: PhmmScratch,
-    /// Genome window buffer, refilled per candidate.
-    window: Vec<Option<Base>>,
+    /// Genome window buffers, one per candidate of the oriented read
+    /// being scored; grow-only.
+    windows: Vec<Vec<Option<Base>>>,
+    /// Emission blend rows of the oriented read being scored.
+    blend: Vec<[f64; 4]>,
     /// Sorted, deduplicated candidate starts for one oriented read.
     starts: Vec<usize>,
     /// Column arena: every scored candidate appends its posteriors here.
@@ -234,31 +239,6 @@ impl<'g> MappingEngine<'g> {
         }
     }
 
-    /// Score one oriented read against the window at placement `start`,
-    /// using the caller's scratch buffers. On success the columns are left
-    /// in `phmm` (read them via [`PhmmScratch::columns`]) and the total
-    /// likelihood is returned.
-    ///
-    /// Every candidate is scored over the same window length
-    /// `N + window_pad` (genome positions past the end become virtual `N`
-    /// bases), so likelihoods are directly comparable across a read's
-    /// candidate locations — a requirement for unbiased posterior weights.
-    fn score_candidate_with(
-        &self,
-        oriented: &SequencedRead,
-        pwm: &Pwm,
-        start: usize,
-        phmm: &mut PhmmScratch,
-        window: &mut Vec<Option<Base>>,
-    ) -> Option<f64> {
-        let pad = self.config.window_pad;
-        window.clear();
-        window.extend((0..oriented.len() + pad).map(|j| self.genome.try_get(start + j).flatten()));
-        let band = self.config.band.map(|w| w + pad);
-        let total = phmm.posterior_columns(pwm, window, &self.config.phmm, band);
-        (total > 0.0).then_some(total)
-    }
-
     /// Map one read into `scratch`, leaving **unnormalised** candidate
     /// alignments (each carries its raw Pair-HMM total likelihood in
     /// [`AlignmentView::score`]). The genome-split driver needs this form,
@@ -266,35 +246,56 @@ impl<'g> MappingEngine<'g> {
     /// (paper: "Communication between machines via message passing
     /// determines \[the\] additional locations and calculates the final
     /// score").
+    ///
+    /// Every candidate is scored over the same window length
+    /// `N + window_pad`, so likelihoods are directly comparable across a
+    /// read's candidate locations — a requirement for unbiased posterior
+    /// weights. One strand's windows are scored four at a time in
+    /// lockstep ([`PhmmScratch::score_windows`]), which is bit-identical
+    /// to scoring them one by one; candidates are kept in strand, then
+    /// ascending-start order, and zero-likelihood windows are dropped.
     pub fn map_read_raw_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
         scratch.clear();
         let rc = read.reverse_complement();
+        let pad = self.config.window_pad;
+        let band = self.config.band.map(|w| w + pad);
+        let params = &self.config.phmm;
         for (reverse, oriented) in [(false, read), (true, &rc)] {
             let pwm = Pwm::from_read(oriented);
             self.candidates_into(oriented, &mut scratch.starts);
-            for idx in 0..scratch.starts.len() {
-                let start = scratch.starts[idx];
-                let AlignScratch {
-                    phmm,
-                    window,
-                    cols,
-                    cands,
-                    ..
-                } = scratch;
-                if let Some(total) = self.score_candidate_with(oriented, &pwm, start, phmm, window)
-                {
+            let AlignScratch {
+                phmm,
+                windows,
+                blend,
+                starts,
+                cols,
+                cands,
+            } = scratch;
+            pwm.fill_blend(params, blend);
+            if windows.len() < starts.len() {
+                windows.resize_with(starts.len(), Vec::new);
+            }
+            let windows = &mut windows[..starts.len()];
+            let len = oriented.len() + pad;
+            for (window, &start) in windows.iter_mut().zip(starts.iter()) {
+                // Positions past the genome end become virtual `N` bases.
+                window.clear();
+                window.extend((0..len).map(|j| self.genome.try_get(start + j).flatten()));
+            }
+            phmm.score_windows(&pwm, blend, &*windows, params, band, |k, total, columns| {
+                if total > 0.0 {
                     let col_off = cols.len();
-                    cols.extend_from_slice(phmm.columns());
+                    cols.extend_from_slice(columns);
                     cands.push(CandMeta {
-                        window_start: start,
-                        placement_start: start,
+                        window_start: starts[k],
+                        placement_start: starts[k],
                         score: total,
                         reverse,
                         col_off,
                         col_len: cols.len() - col_off,
                     });
                 }
-            }
+            });
         }
     }
 

@@ -19,8 +19,9 @@
 //!
 //! The cell arithmetic lives in [`crate::kernel::forward_planes`], which
 //! fills flat row-major planes with a vectorizable two-sweep row schedule;
-//! this module wraps it in the materialised-[`DpTables`] API used by
-//! marginals, tests, and the conformance oracles.
+//! this module runs its one-lane instantiation and wraps it in the
+//! materialised-[`DpTables`] API used by marginals, tests, and the
+//! conformance oracles.
 //!
 //! **Banding.** Seed hits pin a read to a diagonal of the genome window,
 //! so alignments wandering far off that diagonal carry negligible
@@ -74,12 +75,13 @@ pub struct ForwardResult {
 pub fn forward(emit: Emission<'_>, params: &PhmmParams, band: Option<usize>) -> ForwardResult {
     let (n, m) = (emit.n(), emit.m());
     let mut t = DpTables::zeros(n, m);
-    let total = kernel::forward_planes(
-        emit,
+    // Scalar tables viewed as one-lane cells.
+    let [total] = kernel::forward_planes(
+        emit.as_slice().as_chunks().0,
+        n,
+        m,
         params,
-        t.m.as_mut_slice(),
-        t.x.as_mut_slice(),
-        t.y.as_mut_slice(),
+        [&mut t.m, &mut t.x, &mut t.y].map(|p| p.as_mut_slice().as_chunks_mut().0),
         band.map(|w| kernel::diagonal_bounds(n, m, w)),
     );
     ForwardResult { tables: t, total }

@@ -19,6 +19,13 @@
 //! **bit-identical** to the historical implementation — the conformance
 //! harness (`gnumap verify`) depends on this.
 //!
+//! The forward pass is generic over a lane count `L`: each cell is a
+//! `[f64; L]` holding `L` same-shape alignments, and every lane runs the
+//! scalar cell arithmetic unchanged. The fused kernel in
+//! [`crate::scratch`] runs it at `L = 4` and `L = 1`; the materialised
+//! [`crate::forward()`] runs `L = 1` over its tables. The materialised
+//! backward pass here stays scalar.
+//!
 //! Banding is expressed as per-row column bounds from the diagonal band
 //! `j − i ∈ [lo, hi]`. The kernels write zero *sentinels* one cell left and
 //! right of each row's band instead of clearing whole planes, so scratch
@@ -27,6 +34,7 @@
 
 use crate::emission::Emission;
 use crate::params::PhmmParams;
+use std::array::from_fn;
 
 /// Diagonal band `lo <= j - i <= hi`; `None` = full table.
 pub type Band = Option<(isize, isize)>;
@@ -58,9 +66,7 @@ pub fn row_range(band: Band, i: usize, m: usize) -> (usize, usize) {
 /// One-time shape validation for a kernel call over `(n+1) × (m+1)`
 /// planes. All per-cell asserts live here, outside the hot loops.
 #[inline]
-fn validate_planes(emit: Emission<'_>, planes: [&[f64]; 3]) -> (usize, usize, usize) {
-    let n = emit.n();
-    let m = emit.m();
+fn validate_planes<T>(n: usize, m: usize, planes: [&[T]; 3]) -> usize {
     assert!(n >= 1, "read must be non-empty");
     assert!(m >= 1, "window must be non-empty");
     let stride = m + 1;
@@ -68,24 +74,27 @@ fn validate_planes(emit: Emission<'_>, planes: [&[f64]; 3]) -> (usize, usize, us
     for p in planes {
         assert!(p.len() >= plane, "DP plane too small for {n}x{m}");
     }
-    (n, m, stride)
+    stride
 }
 
-/// Compute one forward row `i` from row `i−1`, two-sweep. `mp`/`xp`/`yp`
+/// Compute one forward row `i` from row `i−1`, two-sweep, for `L`
+/// independent alignments of the same shape in lockstep. `mp`/`xp`/`yp`
 /// are row `i−1`; `mc`/`xc`/`yc` are row `i` (each of length `m + 1`);
-/// `erow` is the emission row `p*(i, ·)`. Writes zero sentinels one cell
-/// left and right of the band so stale buffers need no pre-clearing.
+/// `erow` is the emission row `p*(i, ·)`. Every lane runs exactly the
+/// scalar cell arithmetic; the `G_Y` carry is `L` independent chains.
+/// Writes zero sentinels one cell left and right of the band so stale
+/// buffers need no pre-clearing.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_row(
+fn forward_row<const L: usize>(
     params: &PhmmParams,
-    erow: &[f64],
-    mp: &[f64],
-    xp: &[f64],
-    yp: &[f64],
-    mc: &mut [f64],
-    xc: &mut [f64],
-    yc: &mut [f64],
+    erow: &[[f64; L]],
+    mp: &[[f64; L]],
+    xp: &[[f64; L]],
+    yp: &[[f64; L]],
+    mc: &mut [[f64; L]],
+    xc: &mut [[f64; L]],
+    yc: &mut [[f64; L]],
     j_min: usize,
     j_max: usize,
     m: usize,
@@ -101,9 +110,9 @@ pub(crate) fn forward_row(
 
     // Zero sentinels bounding the band in the (possibly stale) row.
     for row in [&mut *mc, &mut *xc, &mut *yc] {
-        row[j_min - 1] = 0.0;
+        row[j_min - 1] = [0.0; L];
         if j_max < m {
-            row[j_max + 1] = 0.0;
+            row[j_max + 1] = [0.0; L];
         }
     }
 
@@ -119,40 +128,44 @@ pub(crate) fn forward_row(
         .zip(&yp[j_min - 1..j_max])
         .zip(&mp[j_min..=j_max])
         .zip(&xp[j_min..=j_max]);
-    for (((((((mv, xv), &e), &mpd), &xpd), &ypd), &mps), &xps) in it {
-        *mv = e * (t_mm * mpd + t_gm * (xpd + ypd));
-        *xv = q * (t_mg * mps + t_gg * xps);
+    for (((((((mv, xv), e), mpd), xpd), ypd), mps), xps) in it {
+        *mv = from_fn(|l| e[l] * (t_mm * mpd[l] + t_gm * (xpd[l] + ypd[l])));
+        *xv = from_fn(|l| q * (t_mg * mps[l] + t_gg * xps[l]));
     }
 
-    // Sweep 2 (serial carry): G_Y within row i.
+    // Sweep 2 (serial carry per lane): G_Y within row i.
     //   f_GY(i,j) = q·[T_MG·f_M(i,j−1) + T_GG·f_GY(i,j−1)]
     let mut carry = yc[j_min - 1];
-    for (yv, &mcl) in yc[j_min..=j_max].iter_mut().zip(&mc[j_min - 1..j_max]) {
-        carry = q * (t_mg * mcl + t_gg * carry);
+    for (yv, mcl) in yc[j_min..=j_max].iter_mut().zip(&mc[j_min - 1..j_max]) {
+        carry = from_fn(|l| q * (t_mg * mcl[l] + t_gg * carry[l]));
         *yv = carry;
     }
 }
 
-/// Forward pass into flat `(n+1) × (m+1)` row-major planes (row stride
-/// `m + 1`). Returns the total likelihood. The planes may hold stale data
-/// from a previous alignment: every cell the recursion reads is freshly
-/// written or an explicit zero sentinel, so no pre-clearing is needed.
-pub fn forward_planes(
-    emit: Emission<'_>,
+/// Forward pass of `L` lockstep alignments into the flat `(n+1) × (m+1)`
+/// row-major planes `[f_M, f_GX, f_GY]` of `[f64; L]` cells (row stride
+/// `m + 1`); `emit` is the `n × m` emission table with one lane per
+/// alignment. Returns each lane's total likelihood. The planes may hold
+/// stale data from a previous alignment: every cell the recursion reads
+/// is freshly written or an explicit zero sentinel, so no pre-clearing is
+/// needed. Only the emission cells inside the band are read.
+pub fn forward_planes<const L: usize>(
+    emit: &[[f64; L]],
+    n: usize,
+    m: usize,
     params: &PhmmParams,
-    fm: &mut [f64],
-    fx: &mut [f64],
-    fy: &mut [f64],
+    [fm, fx, fy]: [&mut [[f64; L]]; 3],
     band: Band,
-) -> f64 {
-    let (n, m, stride) = validate_planes(emit, [fm, fx, fy]);
+) -> [f64; L] {
+    let stride = validate_planes(n, m, [fm, fx, fy]);
+    assert!(emit.len() >= n * m, "emission table too small for {n}x{m}");
 
     // Border row 0: zero over the range row 1 reads, with f_M(0,0) = 1.
     let (_, hi0) = row_range(band, 1, m);
     for p in [&mut *fm, &mut *fx, &mut *fy] {
-        p[..=hi0].fill(0.0);
+        p[..=hi0].fill([0.0; L]);
     }
-    fm[0] = 1.0;
+    fm[0] = [1.0; L];
 
     for i in 1..=n {
         let (j_min, j_max) = row_range(band, i, m);
@@ -162,7 +175,7 @@ pub fn forward_planes(
         let (yp, yc) = fy[base..base + 2 * stride].split_at_mut(stride);
         forward_row(
             params,
-            emit.row(i - 1),
+            &emit[(i - 1) * m..i * m],
             mp,
             xp,
             yp,
@@ -176,7 +189,7 @@ pub fn forward_planes(
     }
 
     let end = n * stride + m;
-    fm[end] + fx[end] + fy[end]
+    from_fn(|l| fm[end][l] + fx[end][l] + fy[end][l])
 }
 
 /// Backward pass into flat `(n+1) × (m+1)` planes. The planes must be
@@ -193,7 +206,8 @@ pub fn backward_planes(
     by: &mut [f64],
     band: Band,
 ) -> f64 {
-    let (n, m, stride) = validate_planes(emit, [bm, bx, by]);
+    let (n, m) = (emit.n(), emit.m());
+    let stride = validate_planes(n, m, [bm, bx, by]);
     let &PhmmParams {
         t_mm,
         t_mg,

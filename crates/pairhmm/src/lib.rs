@@ -14,15 +14,23 @@
 //! * [`params`]   — transition/emission parameterisation (`T_MM`, `T_MG`,
 //!   `T_GM`, `T_GG`, match emission matrix `p_ab`, gap emission `q`).
 //! * [`pwm`]      — position-weight matrix built from read qualities
-//!   (`r_ik` in the paper), and the blended emission `p*(i, j)`.
+//!   (`r_ik` in the paper), the blended emission `p*(i, j)`, and the
+//!   per-read blend rows ([`Pwm::fill_blend`]) every window's emission
+//!   cells are looked up from.
 //! * [`emission`] — flat row-major emission storage ([`EmissionTable`] /
-//!   borrowed [`Emission`] view) consumed by every kernel.
+//!   borrowed [`Emission`] view) for the materialised reference.
 //! * [`kernel`]   — the flat-plane, vectorization-structured forward and
 //!   backward recursions (full-table and banded via one `Band` parameter).
-//! * [`scratch`]  — [`PhmmScratch`], the per-thread reusable arena with
-//!   the fused backward+marginal streaming pass (zero steady-state
-//!   allocations). Its [`PhmmScratch::posterior_columns`] is the one
-//!   Pair-HMM entry the mapper runs.
+//!   The forward pass is generic over a lane count `L` of `[f64; L]`
+//!   cells.
+//! * [`scratch`]  — [`PhmmScratch`], the per-thread reusable arena and
+//!   the one fused Pair-HMM kernel the mapper runs (zero steady-state
+//!   allocations): [`PhmmScratch::posterior_lanes`] scores one read
+//!   against `L` same-length windows in lockstep, each lane bit-identical
+//!   to the scalar arithmetic; [`PhmmScratch::posterior_columns`] is its
+//!   one-lane instantiation, and [`PhmmScratch::score_windows`] groups a
+//!   read's windows four at a time. It fills emission cells inside the
+//!   band only, from the read's blend rows.
 //! * [`matrix`]   — dense `f64` DP matrices.
 //! * [`mod@forward`] / [`mod@backward`] — the dynamic programs of Section VI
 //!   Step 2, materialised, full or banded via a trailing `band` argument.
@@ -64,5 +72,5 @@ pub use marginal::{ColumnPosterior, PosteriorAlignment};
 pub use matrix::Matrix;
 pub use params::PhmmParams;
 pub use pwm::Pwm;
-pub use scratch::PhmmScratch;
+pub use scratch::{PhmmScratch, LANES};
 pub use viterbi::{viterbi, AlignOp, Alignment};

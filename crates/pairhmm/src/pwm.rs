@@ -94,43 +94,47 @@ impl Pwm {
         }
     }
 
-    /// Fill a caller-owned flat buffer with `p*(i, j)` for all read
-    /// positions against a genome window (row-major, stride = window
-    /// length). Clears and refills `out`; when `out`'s capacity already
-    /// suffices this performs no allocation — the scratch-arena hot path.
-    ///
-    /// The blend against each of the four concrete genome bases is
-    /// precomputed once per read row (the inner `k` sum is in the same
-    /// ascending order as [`blended_emission`](Self::blended_emission), so
-    /// the values are bit-identical), then the window is a pure table
-    /// lookup.
-    pub fn fill_emission(&self, window: &[Option<Base>], params: &PhmmParams, out: &mut Vec<f64>) {
+    /// Fill `out` with one blend row per read position: entry `yi` is
+    /// `p*(i, ·)` against concrete genome base `yi`. Clears and refills
+    /// `out`; when its capacity already suffices this performs no
+    /// allocation. The inner `k` sum runs in the same ascending order as
+    /// [`blended_emission`](Self::blended_emission), so the values are
+    /// bit-identical; an emission cell is then a lookup
+    /// ([`emission_cell`]). Computed once per oriented read, it serves
+    /// every candidate window of that read.
+    pub fn fill_blend(&self, params: &PhmmParams, out: &mut Vec<[f64; 4]>) {
         out.clear();
-        out.reserve(self.len() * window.len());
-        for r in &self.rows {
-            let mut blend = [0.0f64; 4];
-            for (yi, b) in blend.iter_mut().enumerate() {
+        out.extend(self.rows.iter().map(|r| {
+            std::array::from_fn(|yi| {
                 let mut acc = 0.0;
                 for (k, &rk) in r.iter().enumerate() {
                     acc += rk * params.emission(k, yi);
                 }
-                *b = acc;
-            }
-            out.extend(window.iter().map(|&y| match y {
-                Some(y) => blend[y.index()],
-                // Against an unknown genome base every read base is
-                // equally compatible; rows sum to 1, so the blend is 1/4.
-                None => 0.25,
-            }));
-        }
+                acc
+            })
+        }));
     }
 
     /// Precompute `p*(i, j)` for all read positions against a genome
     /// window as an owned flat table.
     pub fn emission_table(&self, window: &[Option<Base>], params: &PhmmParams) -> EmissionTable {
-        let mut data = Vec::new();
-        self.fill_emission(window, params, &mut data);
-        EmissionTable::from_flat(data, self.len(), window.len())
+        let mut blend = Vec::new();
+        self.fill_blend(params, &mut blend);
+        EmissionTable::from_fn(self.len(), window.len(), |i, j| {
+            emission_cell(&blend[i], window[j])
+        })
+    }
+}
+
+/// The emission `p*(i, j)` from read row `i`'s blend row (see
+/// [`Pwm::fill_blend`]) and genome base `y`.
+#[inline]
+pub fn emission_cell(blend: &[f64; 4], y: Option<Base>) -> f64 {
+    match y {
+        Some(y) => blend[y.index()],
+        // Against an unknown genome base every read base is equally
+        // compatible; rows sum to 1, so the blend is 1/4.
+        None => 0.25,
     }
 }
 
@@ -193,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn fill_emission_matches_blended_emission() {
+    fn emission_table_matches_blended_emission() {
         let p = PhmmParams::default();
         let read = SequencedRead::new("r", "ACGT".parse().unwrap(), vec![38, 12, 25, 7]).unwrap();
         let pwm = Pwm::from_read(&read);

@@ -1,33 +1,63 @@
-//! Per-thread scratch arena for the alignment hot path.
+//! Per-thread scratch arena and the fused Pair-HMM kernel the mapper runs.
 //!
-//! [`PhmmScratch`] owns every buffer one posterior alignment needs — the
+//! [`PhmmScratch`] owns every buffer a posterior alignment needs — the
 //! flat emission table, the three retained forward planes, six rolling
 //! backward rows, and the per-column `z`-vector accumulator. Buffers grow
 //! monotonically and are reused across a thread's whole read batch, so
 //! after the first few alignments warm them up the steady-state loop
 //! performs **zero heap allocations per read × window pair**.
 //!
-//! The fused pass ([`PhmmScratch::posterior_columns`]) never materialises
-//! the backward tables: it streams two rolling backward rows (`i+1` and
-//! `i`) from the bottom of the DP upward, and folds each freshly computed
-//! row directly into the column posteriors against the retained forward
-//! planes. Per-cell arithmetic and per-column summation order are exactly
-//! those of the materialised implementation (backward row `i` combined
-//! with forward row `i`, for `i = N` down to `1`), so the result is
-//! bit-identical — property-tested via `f64::to_bits` in
-//! `tests/fused_bitident.rs`.
+//! **Lanes.** The kernel ([`PhmmScratch::posterior_lanes`]) is generic
+//! over a compile-time lane count `L`: it scores one read against `L`
+//! windows of the same length in lockstep. Every DP cell, emission cell,
+//! rolling backward row and column accumulator holds `[f64; L]`, and each
+//! lane runs exactly the scalar cell arithmetic in the same order. The
+//! lanes share only the read, the shape and the band, which fix the loop
+//! bounds and never a value; the serial `G_Y` carries become `L`
+//! independent chains, and each cell's work becomes a fixed-length loop
+//! the compiler packs into SIMD registers. The mapper scores a read's
+//! candidate windows four at a time. [`PhmmScratch::posterior_columns`]
+//! is the one-lane instantiation of the same source, so every lane is
+//! bit-identical to it.
+//!
+//! **Band-only emission fill.** The emission table is filled from the
+//! read's blend rows ([`Pwm::fill_blend`], computed once per oriented
+//! read) and only inside the band: 0-based emission row `r` needs columns
+//! `[max(r + lo, 0), min(r + hi, m − 1)]` of the diagonal band `(lo, hi)`.
+//! Cells outside it may hold stale values from an earlier alignment; no
+//! pass reads them.
+//!
+//! **Fused backward.** The pass never materialises the backward tables:
+//! it streams two rolling backward rows (`i+1` and `i`) from the bottom
+//! of the DP upward, and folds each freshly computed row directly into
+//! the column posteriors against the retained forward planes. Per-cell
+//! arithmetic and per-column summation order are exactly those of the
+//! materialised implementation (backward row `i` combined with forward
+//! row `i`, for `i = N` down to `1`), so the result is bit-identical —
+//! property-tested via `f64::to_bits` in `tests/fused_bitident.rs`.
 
-use crate::emission::Emission;
 use crate::kernel::{self, Band};
 use crate::marginal::ColumnPosterior;
 use crate::params::PhmmParams;
-use crate::pwm::Pwm;
+use crate::pwm::{emission_cell, Pwm};
 use genome::alphabet::Base;
+use std::array::from_fn;
 
-/// Grow-only reusable buffers for one thread's Pair-HMM alignments.
+/// Accumulator cells per column: A, C, G, T and the gap.
+const SYMBOLS: usize = 5;
+
+/// Windows one lockstep group of [`PhmmScratch::score_windows`] holds.
+pub const LANES: usize = 4;
+
+/// Grow-only reusable buffers for one thread's Pair-HMM alignments. The
+/// kernel views each flat `f64` buffer as `[f64; L]` cells, so one arena
+/// serves every lane count.
 #[derive(Debug, Default)]
 pub struct PhmmScratch {
-    /// Flat `N × M` emission table `p*(i, j)`.
+    /// Blend rows of the read scored by
+    /// [`posterior_columns`](Self::posterior_columns).
+    blend: Vec<[f64; 4]>,
+    /// Flat `N × M` emission cells `p*(i, j)`, filled inside the band.
     emit: Vec<f64>,
     /// Retained forward planes, `(N+1) × (M+1)` row-major.
     fm: Vec<f64>,
@@ -41,17 +71,23 @@ pub struct PhmmScratch {
     bx_next: Vec<f64>,
     by_cur: Vec<f64>,
     by_next: Vec<f64>,
-    /// Column posterior accumulator, length `M` after a call.
+    /// Column accumulators, `M × 5` cells.
+    acc: Vec<f64>,
+    /// Column posteriors of the last call, lane-major (`L × M`).
     cols: Vec<ColumnPosterior>,
+    /// Window length `M` of the last call.
+    m: usize,
 }
 
-/// Grow `v` to at least `len` without ever shrinking (keeps capacity hot
-/// across differently sized windows).
+/// View the first `cells · L` values of `v` as `[f64; L]` cells, growing
+/// it first if needed. Never shrinks, so capacity stays hot across
+/// differently sized windows and lane counts.
 #[inline]
-fn ensure(v: &mut Vec<f64>, len: usize) {
-    if v.len() < len {
-        v.resize(len, 0.0);
+fn lanes<const L: usize>(v: &mut Vec<f64>, cells: usize) -> &mut [[f64; L]] {
+    if v.len() < cells * L {
+        v.resize(cells * L, 0.0);
     }
+    &mut v.as_chunks_mut().0[..cells]
 }
 
 impl PhmmScratch {
@@ -62,10 +98,17 @@ impl PhmmScratch {
 
     /// The column posteriors computed by the last
     /// [`posterior_columns`](Self::posterior_columns) call (length = that
-    /// call's window length).
+    /// call's window length): lane 0 of the last call.
     #[inline]
     pub fn columns(&self) -> &[ColumnPosterior] {
-        &self.cols
+        self.lane_columns(0)
+    }
+
+    /// Lane `l`'s column posteriors from the last
+    /// [`posterior_lanes`](Self::posterior_lanes) call.
+    #[inline]
+    pub fn lane_columns(&self, l: usize) -> &[ColumnPosterior] {
+        &self.cols[l * self.m..(l + 1) * self.m]
     }
 
     /// Full fused posterior alignment of one read (PWM) against one
@@ -78,6 +121,9 @@ impl PhmmScratch {
     /// `band` is the optional diagonal half-width: `Some(w)` restricts
     /// both passes to the band of [`kernel::diagonal_bounds`], exactly
     /// like `PosteriorAlignment::from_emissions` with the same `band`.
+    ///
+    /// This is the one-lane instantiation of
+    /// [`posterior_lanes`](Self::posterior_lanes).
     pub fn posterior_columns(
         &mut self,
         pwm: &Pwm,
@@ -85,168 +131,252 @@ impl PhmmScratch {
         params: &PhmmParams,
         band: Option<usize>,
     ) -> f64 {
+        // Taken out for the call and put back, so its capacity is reused.
+        let mut blend = std::mem::take(&mut self.blend);
+        pwm.fill_blend(params, &mut blend);
+        let [total] = self.posterior_lanes(pwm, &blend, [window], params, band);
+        self.blend = blend;
+        total
+    }
+
+    /// Score one read against every window in `windows` (all of one
+    /// length), [`LANES`] at a time in lockstep: full groups run four
+    /// lanes, a remainder of two or three runs four lanes with the idle
+    /// lanes fed a copy of the group's last window (their results are
+    /// discarded), and a lone remainder runs the one-lane kernel. `blend`
+    /// is the read's [`Pwm::fill_blend`] rows. Calls
+    /// `each(k, total, columns)` for window `k`, in window order; each
+    /// call sees exactly what [`posterior_columns`](Self::posterior_columns)
+    /// returns for that window.
+    pub fn score_windows<W: AsRef<[Option<Base>]>>(
+        &mut self,
+        pwm: &Pwm,
+        blend: &[[f64; 4]],
+        windows: &[W],
+        params: &PhmmParams,
+        band: Option<usize>,
+        mut each: impl FnMut(usize, f64, &[ColumnPosterior]),
+    ) {
+        for (g, group) in windows.chunks(LANES).enumerate() {
+            let totals: [f64; LANES] = if let [only] = group {
+                let [total] = self.posterior_lanes(pwm, blend, [only.as_ref()], params, band);
+                [total; LANES]
+            } else {
+                let last = group.len() - 1;
+                let lanes = from_fn(|l| group[l.min(last)].as_ref());
+                self.posterior_lanes(pwm, blend, lanes, params, band)
+            };
+            for (l, &total) in totals[..group.len()].iter().enumerate() {
+                each(g * LANES + l, total, self.lane_columns(l));
+            }
+        }
+    }
+
+    /// Score one read against `L` windows of one length in lockstep, lane
+    /// `l` holding `windows[l]`. `blend` is the read's
+    /// [`Pwm::fill_blend`] rows. Returns each lane's total likelihood;
+    /// lane `l`'s columns are [`lane_columns(l)`](Self::lane_columns)
+    /// afterwards. Every lane is bit-identical to
+    /// [`posterior_columns`](Self::posterior_columns) on its window.
+    pub fn posterior_lanes<const L: usize>(
+        &mut self,
+        pwm: &Pwm,
+        blend: &[[f64; 4]],
+        windows: [&[Option<Base>]; L],
+        params: &PhmmParams,
+        band: Option<usize>,
+    ) -> [f64; L] {
         let n = pwm.len();
-        let m = window.len();
+        let m = windows[0].len();
         assert!(n >= 1, "read must be non-empty");
         assert!(m >= 1, "window must be non-empty");
-
-        pwm.fill_emission(window, params, &mut self.emit);
+        assert!(
+            windows.iter().all(|w| w.len() == m),
+            "lane windows must share one length"
+        );
+        assert_eq!(blend.len(), n, "one blend row per read position");
         let band: Band = band.map(|w| kernel::diagonal_bounds(n, m, w));
+        let PhmmScratch {
+            emit,
+            fm,
+            fx,
+            fy,
+            bm_cur,
+            bm_next,
+            bx_cur,
+            bx_next,
+            by_cur,
+            by_next,
+            acc,
+            cols,
+            m: last_m,
+            ..
+        } = self;
+
+        // Emission row r is read only at the band columns of forward row
+        // r + 1, which cover backward row r's as well.
+        let emit = lanes::<L>(emit, n * m);
+        for ((r, erow), brow) in emit.chunks_exact_mut(m).enumerate().zip(blend) {
+            let (j_min, j_max) = kernel::row_range(band, r + 1, m);
+            for (c, cell) in (j_min - 1..j_max).zip(&mut erow[j_min - 1..j_max]) {
+                *cell = from_fn(|l| emission_cell(brow, windows[l][c]));
+            }
+        }
+        let emit = &*emit;
 
         let stride = m + 1;
         let plane = (n + 1) * stride;
-        ensure(&mut self.fm, plane);
-        ensure(&mut self.fx, plane);
-        ensure(&mut self.fy, plane);
+        let [fm, fx, fy] = [fm, fx, fy].map(|p| lanes::<L>(p, plane));
+        let total = kernel::forward_planes(emit, n, m, params, [fm, fx, fy], band);
 
-        let emit = Emission::new(&self.emit[..n * m], n, m);
-        let total =
-            kernel::forward_planes(emit, params, &mut self.fm, &mut self.fx, &mut self.fy, band);
+        let acc = lanes::<L>(acc, m * SYMBOLS);
+        acc.fill([0.0; L]);
+        if total.iter().any(|&t| t != 0.0) {
+            // Rolling rows carry one extra slot: index m+1 is a permanent
+            // zero standing in for reads of the out-of-table column m+1,
+            // so the vectorised sweep needs no per-cell bounds gating.
+            let [mut bm_cur, mut bm_next, mut bx_cur, mut bx_next, mut by_cur, mut by_next] =
+                [bm_cur, bm_next, bx_cur, bx_next, by_cur, by_next].map(|r| {
+                    let r = lanes::<L>(r, m + 2);
+                    r[m + 1] = [0.0; L];
+                    r
+                });
 
-        self.cols.clear();
-        self.cols.resize(m, ColumnPosterior::default());
-        if total == 0.0 {
-            return total;
-        }
+            let &PhmmParams {
+                t_mm,
+                t_mg,
+                t_gm,
+                t_gg,
+                q,
+                ..
+            } = params;
 
-        // Rolling rows carry one extra slot: index m+1 is a permanent zero
-        // standing in for reads of the out-of-table column m+1, so the
-        // vectorised sweep needs no per-cell bounds gating.
-        let roll = m + 2;
-        ensure(&mut self.bm_cur, roll);
-        ensure(&mut self.bm_next, roll);
-        ensure(&mut self.bx_cur, roll);
-        ensure(&mut self.bx_next, roll);
-        ensure(&mut self.by_cur, roll);
-        ensure(&mut self.by_next, roll);
-        for r in [
-            &mut self.bm_cur,
-            &mut self.bm_next,
-            &mut self.bx_cur,
-            &mut self.bx_next,
-            &mut self.by_cur,
-            &mut self.by_next,
-        ] {
-            r[m + 1] = 0.0;
-        }
-
-        let &PhmmParams {
-            t_mm,
-            t_mg,
-            t_gm,
-            t_gg,
-            q,
-            ..
-        } = params;
-
-        // --- Row N (terminal row): p*(N+1, ·) = 0 and row N+1 is the zero
-        // border, so the recursions collapse to pure gap-extension chains
-        // seeded by b(N, M) = 1:
-        //   b_GY(N, j) = q·T_GG·b_GY(N, j+1)
-        //   b_M(N, j)  = q·T_MG·b_GY(N, j+1)
-        //   b_GX(N, j) = 0                       (for j < M)
-        {
-            let (j_min, j_max) = kernel::row_range(band, n, m);
-            debug_assert_eq!(j_max, m, "terminal row always reaches column M");
-            for r in [&mut self.bm_cur, &mut self.bx_cur, &mut self.by_cur] {
-                r[j_min - 1] = 0.0;
-            }
-            self.bm_cur[m] = 1.0;
-            self.bx_cur[m] = 1.0;
-            self.by_cur[m] = 1.0;
-            let mut carry = 1.0; // b_GY(N, j+1), starting from b_GY(N, M)
-            for j in (j_min..m).rev() {
-                self.bm_cur[j] = q * t_mg * carry;
-                carry *= q * t_gg;
-                self.by_cur[j] = carry;
-                self.bx_cur[j] = 0.0;
-            }
-            accumulate_row(
-                &mut self.cols,
-                pwm.row(n - 1),
-                &self.fm[n * stride..],
-                &self.fy[n * stride..],
-                &self.bm_cur,
-                &self.by_cur,
-                total,
-                j_min,
-                j_max,
-            );
-        }
-
-        // --- Rows N-1 down to 1: swap so `next` holds row i+1, compute
-        // row i into `cur` in two sweeps, then fold it into the columns.
-        for i in (1..n).rev() {
-            std::mem::swap(&mut self.bm_cur, &mut self.bm_next);
-            std::mem::swap(&mut self.bx_cur, &mut self.bx_next);
-            std::mem::swap(&mut self.by_cur, &mut self.by_next);
-
-            let (j_min, j_max) = kernel::row_range(band, i, m);
-            // Zero sentinels one cell beyond the band: everything row i-1
-            // (or this row's own j+1 reads) touches outside the freshly
-            // computed span is an out-of-band zero.
-            for r in [&mut self.bm_cur, &mut self.bx_cur, &mut self.by_cur] {
-                r[j_min - 1] = 0.0;
-                r[j_max + 1] = 0.0;
-            }
-
-            // p*(i+1, j+1) lives in 0-based emission row i.
-            let erow = emit.row(i);
-
-            // Sweep 1 (serial carry, descending j): G_Y depends on its own
-            // row's j+1 cell.
-            //   b_GY(i,j) = p*(i+1,j+1)·T_GM·b_M(i+1,j+1) + q·T_GG·b_GY(i,j+1)
+            // --- Row N (terminal row): p*(N+1, ·) = 0 and row N+1 is the
+            // zero border, so the recursions collapse to pure
+            // gap-extension chains seeded by b(N, M) = 1, equal in every
+            // lane:
+            //   b_GY(N, j) = q·T_GG·b_GY(N, j+1)
+            //   b_M(N, j)  = q·T_MG·b_GY(N, j+1)
+            //   b_GX(N, j) = 0                       (for j < M)
             {
-                let mut carry = 0.0; // b_GY(i, j_max+1): out of band/table
-                for j in (j_min..=j_max).rev() {
-                    let (diag, bm_diag) = if j < m {
-                        (erow[j], self.bm_next[j + 1])
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    carry = diag * t_gm * bm_diag + q * t_gg * carry;
-                    self.by_cur[j] = carry;
+                let (j_min, j_max) = kernel::row_range(band, n, m);
+                debug_assert_eq!(j_max, m, "terminal row always reaches column M");
+                for r in [&mut *bm_cur, &mut *bx_cur, &mut *by_cur] {
+                    r[j_min - 1] = [0.0; L];
                 }
+                bm_cur[m] = [1.0; L];
+                bx_cur[m] = [1.0; L];
+                by_cur[m] = [1.0; L];
+                let mut carry = 1.0; // b_GY(N, j+1), starting from b_GY(N, M)
+                for j in (j_min..m).rev() {
+                    bm_cur[j] = [q * t_mg * carry; L];
+                    carry *= q * t_gg;
+                    by_cur[j] = [carry; L];
+                    bx_cur[j] = [0.0; L];
+                }
+                accumulate_row(
+                    acc,
+                    pwm.row(n - 1),
+                    &fm[n * stride..],
+                    &fy[n * stride..],
+                    bm_cur,
+                    by_cur,
+                    &total,
+                    j_min,
+                    j_max,
+                );
             }
 
-            // Sweep 2 (vectorizable, ascending j): M and G_X read only row
-            // i+1 plus the already-final G_Y row.
-            //   b_M(i,j)  = p*·T_MM·b_M(i+1,j+1) + q·T_MG·[b_GX(i+1,j) + b_GY(i,j+1)]
-            //   b_GX(i,j) = p*·T_GM·b_M(i+1,j+1) + q·T_GG·b_GX(i+1,j)
-            if j_max == m {
-                // Column M: the diagonal term is zero (p*(i+1, M+1) = 0)
-                // and b_GY(i, M+1) = 0, exact under IEEE for +0 operands.
-                self.bm_cur[m] = q * t_mg * self.bx_next[m];
-                self.bx_cur[m] = q * t_gg * self.bx_next[m];
-            }
-            let hi = j_max.min(m - 1);
-            if j_min <= hi {
-                let it = self.bm_cur[j_min..=hi]
-                    .iter_mut()
-                    .zip(self.bx_cur[j_min..=hi].iter_mut())
-                    .zip(&erow[j_min..=hi])
-                    .zip(&self.bm_next[j_min + 1..=hi + 1])
-                    .zip(&self.bx_next[j_min..=hi])
-                    .zip(&self.by_cur[j_min + 1..=hi + 1]);
-                for (((((mv, xv), &diag), &bmd), &bxn), &byr) in it {
-                    *mv = diag * t_mm * bmd + q * t_mg * (bxn + byr);
-                    *xv = diag * t_gm * bmd + q * t_gg * bxn;
-                }
-            }
+            // --- Rows N-1 down to 1: swap so `next` holds row i+1,
+            // compute row i into `cur` in two sweeps, then fold it into
+            // the columns.
+            for i in (1..n).rev() {
+                std::mem::swap(&mut bm_cur, &mut bm_next);
+                std::mem::swap(&mut bx_cur, &mut bx_next);
+                std::mem::swap(&mut by_cur, &mut by_next);
 
-            accumulate_row(
-                &mut self.cols,
-                pwm.row(i - 1),
-                &self.fm[i * stride..],
-                &self.fy[i * stride..],
-                &self.bm_cur,
-                &self.by_cur,
-                total,
-                j_min,
-                j_max,
-            );
+                let (j_min, j_max) = kernel::row_range(band, i, m);
+                // Zero sentinels one cell beyond the band: everything row
+                // i-1 (or this row's own j+1 reads) touches outside the
+                // freshly computed span is an out-of-band zero.
+                for r in [&mut *bm_cur, &mut *bx_cur, &mut *by_cur] {
+                    r[j_min - 1] = [0.0; L];
+                    r[j_max + 1] = [0.0; L];
+                }
+
+                // p*(i+1, j+1) lives in 0-based emission row i.
+                let erow = &emit[i * m..(i + 1) * m];
+
+                // Sweep 1 (serial carry per lane, descending j): G_Y
+                // depends on its own row's j+1 cell.
+                //   b_GY(i,j) = p*(i+1,j+1)·T_GM·b_M(i+1,j+1) + q·T_GG·b_GY(i,j+1)
+                {
+                    let mut carry = [0.0; L]; // b_GY(i, j_max+1): out of band/table
+                    for j in (j_min..=j_max).rev() {
+                        let (diag, bm_diag) = if j < m {
+                            (erow[j], bm_next[j + 1])
+                        } else {
+                            ([0.0; L], [0.0; L])
+                        };
+                        carry = from_fn(|l| diag[l] * t_gm * bm_diag[l] + q * t_gg * carry[l]);
+                        by_cur[j] = carry;
+                    }
+                }
+
+                // Sweep 2 (vectorizable, ascending j): M and G_X read only
+                // row i+1 plus the already-final G_Y row.
+                //   b_M(i,j)  = p*·T_MM·b_M(i+1,j+1) + q·T_MG·[b_GX(i+1,j) + b_GY(i,j+1)]
+                //   b_GX(i,j) = p*·T_GM·b_M(i+1,j+1) + q·T_GG·b_GX(i+1,j)
+                if j_max == m {
+                    // Column M: the diagonal term is zero (p*(i+1, M+1) =
+                    // 0) and b_GY(i, M+1) = 0, exact under IEEE for +0
+                    // operands.
+                    let bxn = bx_next[m];
+                    bm_cur[m] = from_fn(|l| q * t_mg * bxn[l]);
+                    bx_cur[m] = from_fn(|l| q * t_gg * bxn[l]);
+                }
+                let hi = j_max.min(m - 1);
+                if j_min <= hi {
+                    let it = bm_cur[j_min..=hi]
+                        .iter_mut()
+                        .zip(bx_cur[j_min..=hi].iter_mut())
+                        .zip(&erow[j_min..=hi])
+                        .zip(&bm_next[j_min + 1..=hi + 1])
+                        .zip(&bx_next[j_min..=hi])
+                        .zip(&by_cur[j_min + 1..=hi + 1]);
+                    for (((((mv, xv), diag), bmd), bxn), byr) in it {
+                        *mv = from_fn(|l| diag[l] * t_mm * bmd[l] + q * t_mg * (bxn[l] + byr[l]));
+                        *xv = from_fn(|l| diag[l] * t_gm * bmd[l] + q * t_gg * bxn[l]);
+                    }
+                }
+
+                accumulate_row(
+                    acc,
+                    pwm.row(i - 1),
+                    &fm[i * stride..],
+                    &fy[i * stride..],
+                    bm_cur,
+                    by_cur,
+                    &total,
+                    j_min,
+                    j_max,
+                );
+            }
         }
 
+        // Lane-major output; a zero-total lane reports all-zero columns
+        // (its accumulator lane divided by zero and is discarded).
+        *last_m = m;
+        cols.clear();
+        for (l, &t) in total.iter().enumerate() {
+            cols.extend(acc.chunks_exact(SYMBOLS).map(|c| ColumnPosterior {
+                probs: if t == 0.0 {
+                    [0.0; SYMBOLS]
+                } else {
+                    from_fn(|k| c[k][l])
+                },
+            }));
+        }
         total
     }
 }
@@ -255,30 +385,35 @@ impl PhmmScratch {
 /// into the column accumulators, restricted to the band: out-of-band cells
 /// contribute exactly zero in the materialised implementation (`p_M = +0`
 /// is skipped by the guard, `p_D = +0` is an IEEE no-op addend), so
-/// skipping them is bit-identical.
+/// skipping them is bit-identical. Each lane keeps the scalar guard as a
+/// per-lane select.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn accumulate_row(
-    cols: &mut [ColumnPosterior],
+fn accumulate_row<const L: usize>(
+    acc: &mut [[f64; L]],
     r: &[f64; 4],
-    fm_row: &[f64],
-    fy_row: &[f64],
-    bm: &[f64],
-    by: &[f64],
-    total: f64,
+    fm_row: &[[f64; L]],
+    fy_row: &[[f64; L]],
+    bm: &[[f64; L]],
+    by: &[[f64; L]],
+    total: &[f64; L],
     j_min: usize,
     j_max: usize,
 ) {
-    for j in j_min..=j_max {
-        let col = &mut cols[j - 1];
-        let pm = fm_row[j] * bm[j] / total;
-        if pm > 0.0 {
-            for (p, rk) in col.probs.iter_mut().zip(r) {
-                *p += pm * rk;
-            }
+    let it = acc[(j_min - 1) * SYMBOLS..j_max * SYMBOLS]
+        .chunks_exact_mut(SYMBOLS)
+        .zip(&fm_row[j_min..=j_max])
+        .zip(&fy_row[j_min..=j_max])
+        .zip(&bm[j_min..=j_max])
+        .zip(&by[j_min..=j_max]);
+    for ((((col, fm), fy), bm), by) in it {
+        let (probs, gap) = col.split_at_mut(4);
+        let pm: [f64; L] = from_fn(|l| fm[l] * bm[l] / total[l]);
+        for (p, &rk) in probs.iter_mut().zip(r) {
+            *p = from_fn(|l| if pm[l] > 0.0 { p[l] + pm[l] * rk } else { p[l] });
         }
-        let pd = fy_row[j] * by[j] / total;
-        col.probs[4] += pd;
+        let pd: [f64; L] = from_fn(|l| fy[l] * by[l] / total[l]);
+        gap[0] = from_fn(|l| gap[0][l] + pd[l]);
     }
 }
 

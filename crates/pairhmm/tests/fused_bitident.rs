@@ -3,7 +3,9 @@
 //! the materialized forward/backward implementation — on randomized PWMs,
 //! window lengths 1..=64, banded and unbanded, with and without scratch
 //! reuse — and the banded DP must collapse to the full DP bitwise when the
-//! band covers every cell.
+//! band covers every cell. Every lane of the lockstep entry
+//! [`pairhmm::PhmmScratch::posterior_lanes`] must in turn be bit-identical
+//! to `posterior_columns` on its own window.
 
 use genome::alphabet::{Base, BASES};
 use pairhmm::marginal::PosteriorAlignment;
@@ -86,8 +88,87 @@ fn check_bitident(
     Ok(())
 }
 
+/// One read against 1..=9 windows of one length `M = N + pad` (the
+/// mapper's window pad), at a random band or unbanded.
+type LaneCase = (Pwm, Vec<Vec<Option<Base>>>, PhmmParams, Option<usize>);
+
+fn lane_case_strategy() -> impl Strategy<Value = LaneCase> {
+    (1..=24usize, 0..=6usize, 1..=9usize, 0..12usize).prop_flat_map(|(n, pad, count, w)| {
+        // A quarter of the cases unbanded, the rest at half-width 0..=8.
+        let band = (w >= 3).then(|| w - 3);
+        (
+            pwm_strategy(n),
+            proptest::collection::vec(window_strategy(n + pad), count),
+            params_strategy(),
+            proptest::strategy::Just(band),
+        )
+    })
+}
+
+/// Score `windows` as the mapper does, through
+/// [`PhmmScratch::score_windows`]: groups of four in lockstep, a short
+/// group's idle lanes fed a copy of its last window, a lone window on the
+/// one-lane kernel. Every window must match `posterior_columns` on its
+/// own, bit for bit.
+fn check_lanes(
+    case: &LaneCase,
+    lanes: &mut PhmmScratch,
+    reference: &mut PhmmScratch,
+) -> TestCaseResult {
+    let (pwm, windows, params, band) = case;
+    let mut blend = Vec::new();
+    pwm.fill_blend(params, &mut blend);
+    let mut scored = Vec::new();
+    lanes.score_windows(pwm, &blend, windows, params, *band, |k, total, cols| {
+        scored.push((k, total, cols.to_vec()));
+    });
+    prop_assert_eq!(scored.len(), windows.len(), "every window reported once");
+    for (i, (k, total, cols)) in scored.into_iter().enumerate() {
+        prop_assert_eq!(k, i, "windows reported in order");
+        let want = reference.posterior_columns(pwm, &windows[k], params, *band);
+        prop_assert_eq!(
+            total.to_bits(),
+            want.to_bits(),
+            "window {} of {}: total {} vs one-lane {}",
+            k,
+            windows.len(),
+            total,
+            want
+        );
+        prop_assert_eq!(cols.len(), reference.columns().len());
+        for (j, (a, b)) in cols.iter().zip(reference.columns()).enumerate() {
+            for s in 0..5 {
+                prop_assert_eq!(
+                    a.probs[s].to_bits(),
+                    b.probs[s].to_bits(),
+                    "window {} column {} symbol {}: {} vs one-lane {}",
+                    k,
+                    j,
+                    s,
+                    a.probs[s],
+                    b.probs[s]
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
+
+    #[test]
+    fn every_lane_is_bit_identical_to_the_one_lane_kernel(
+        cases in proptest::collection::vec(lane_case_strategy(), 1..=4),
+    ) {
+        // One pair of scratches across every shape in the stream, so
+        // stale lanes from earlier (larger) groups must stay invisible.
+        let mut lanes = PhmmScratch::new();
+        let mut reference = PhmmScratch::new();
+        for case in &cases {
+            check_lanes(case, &mut lanes, &mut reference)?;
+        }
+    }
 
     #[test]
     fn fused_marginals_are_bit_identical_unbanded(case in case_strategy()) {

@@ -2,8 +2,9 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after one
 //! warmup alignment per configuration, repeated `posterior_columns` calls
-//! on a reused [`pairhmm::PhmmScratch`] must perform **zero** heap
-//! allocations — the core promise of the
+//! and four-lane `posterior_lanes` group calls on a reused
+//! [`pairhmm::PhmmScratch`] must perform **zero** heap allocations — the
+//! core promise of the
 //! scratch-arena design. This lives in its own integration-test binary so
 //! the global allocator hook and the single-threaded counter discipline
 //! (one `#[test]` only) cannot interfere with other tests.
@@ -85,6 +86,14 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
         .collect();
     let pwm = Pwm::from_rows(rows);
     let window: Vec<_> = (0..n).map(|j| Some(BASES[(j * 7 + 3) % 4])).collect();
+    // Four candidate windows for one lockstep group, and the read's blend
+    // rows, which the mapper computes once per oriented read.
+    let group: Vec<Vec<_>> = (0..4)
+        .map(|g| (0..n).map(|j| Some(BASES[(j * 7 + 3 + g) % 4])).collect())
+        .collect();
+    let lanes: [&[_]; 4] = std::array::from_fn(|l| group[l].as_slice());
+    let mut blend = Vec::new();
+    pwm.fill_blend(&params, &mut blend);
 
     let mut scratch = PhmmScratch::new();
     let mut sink = 0.0f64;
@@ -92,12 +101,17 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
     // Warmup: grow every buffer for each configuration exercised below.
     sink += scratch.posterior_columns(&pwm, &window, &params, None);
     sink += scratch.posterior_columns(&pwm, &window, &params, Some(4));
+    sink += scratch.posterior_lanes(&pwm, &blend, lanes, &params, None)[0];
+    sink += scratch.posterior_lanes(&pwm, &blend, lanes, &params, Some(4))[0];
 
     let before = allocation_count();
     for _ in 0..100 {
         sink += scratch.posterior_columns(&pwm, &window, &params, None);
         sink += scratch.posterior_columns(&pwm, &window, &params, Some(4));
         sink += scratch.columns()[0].probs[0];
+        sink += scratch.posterior_lanes(&pwm, &blend, lanes, &params, None)[1];
+        sink += scratch.posterior_lanes(&pwm, &blend, lanes, &params, Some(4))[3];
+        sink += scratch.lane_columns(2)[0].probs[0];
     }
     let after = allocation_count();
 
@@ -106,7 +120,7 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
         after - before,
         0,
         "steady-state scratch alignments must not allocate \
-         ({} allocations over 200 alignments)",
+         ({} allocations over 200 one-lane alignments and 200 four-lane groups)",
         after - before
     );
 }
