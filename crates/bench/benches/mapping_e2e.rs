@@ -24,11 +24,13 @@ fn bench_map_read(c: &mut Criterion) {
     let reads = &w.reads[..200.min(w.reads.len())];
     let mut group = c.benchmark_group("mapping");
     group.sample_size(10);
+    let mut scratch = AlignScratch::new();
     group.bench_function("map_200_reads", |b| {
         b.iter(|| {
             let mut n = 0usize;
             for read in reads {
-                n += engine.map_read(black_box(read)).len();
+                engine.map_read_with(black_box(read), &mut scratch);
+                n += scratch.len();
             }
             black_box(n)
         })

@@ -34,7 +34,7 @@ pub mod snpcall;
 
 pub use accum::{AccumulatorMode, GenomeAccumulator};
 pub use config::GnumapConfig;
-pub use mapping::{MappingConfig, MappingEngine, ReadAlignment};
+pub use mapping::{MappingConfig, MappingEngine};
 pub use observe::{Event, EventSink, Observer, Stage};
 pub use pipeline::run_pipeline;
 pub use report::{score_snp_calls, AccuracyReport, RunReport};

@@ -91,7 +91,6 @@ pub struct AlignScratch {
 /// One scored candidate inside an [`AlignScratch`].
 struct CandMeta {
     window_start: usize,
-    placement_start: usize,
     /// Raw likelihood after `map_read_raw_with`; posterior weight after
     /// `map_read_with`.
     score: f64,
@@ -103,10 +102,9 @@ struct CandMeta {
 /// Borrowed view of one alignment stored in an [`AlignScratch`].
 #[derive(Debug, Clone, Copy)]
 pub struct AlignmentView<'a> {
-    /// Genome position of the window's first column.
+    /// Genome position of the window's first column, which is where the
+    /// seeds placed read base 1.
     pub window_start: usize,
-    /// Genome position the seeds proposed for read base 1.
-    pub placement_start: usize,
     /// Raw Pair-HMM likelihood (after
     /// [`MappingEngine::map_read_raw_with`]) or normalised posterior
     /// weight (after [`MappingEngine::map_read_with`]).
@@ -129,7 +127,6 @@ impl AlignScratch {
     pub fn alignments(&self) -> impl Iterator<Item = AlignmentView<'_>> + '_ {
         self.cands.iter().map(move |c| AlignmentView {
             window_start: c.window_start,
-            placement_start: c.placement_start,
             score: c.score,
             reverse: c.reverse,
             columns: &self.cols[c.col_off..c.col_off + c.col_len],
@@ -150,21 +147,6 @@ impl AlignScratch {
         self.cols.clear();
         self.cands.clear();
     }
-}
-
-/// One weighted alignment of a read to a genome window.
-#[derive(Debug, Clone)]
-pub struct ReadAlignment {
-    /// Genome position of the window's first column.
-    pub window_start: usize,
-    /// Posterior weight of this location among the read's candidates
-    /// (weights over a read's alignments sum to 1).
-    pub weight: f64,
-    /// Whether the read aligned on the reverse strand.
-    pub reverse: bool,
-    /// Per-column evidence vectors (each summing to 1), *unweighted*;
-    /// multiply by `weight` when depositing into an accumulator.
-    pub columns: Vec<ColumnPosterior>,
 }
 
 /// The engine: genome + index + config.
@@ -288,7 +270,6 @@ impl<'g> MappingEngine<'g> {
                     cols.extend_from_slice(columns);
                     cands.push(CandMeta {
                         window_start: starts[k],
-                        placement_start: starts[k],
                         score: total,
                         reverse,
                         col_off,
@@ -305,75 +286,40 @@ impl<'g> MappingEngine<'g> {
     /// empty for unmappable reads.
     pub fn map_read_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
         self.map_read_raw_with(read, scratch);
-        let grand_total: f64 = scratch.cands.iter().map(|c| c.score).sum();
-        if grand_total <= 0.0 {
-            scratch.cands.clear();
-            return;
-        }
-        // Posterior weights; drop negligible locations, renormalise.
-        // `retain_mut` preserves order, so the kept set and both sums are
-        // evaluated in exactly the order the Vec-returning path used.
-        scratch.cands.retain_mut(|c| {
-            c.score /= grand_total;
-            c.score >= self.config.min_weight
-        });
-        let kept_sum: f64 = scratch.cands.iter().map(|c| c.score).sum();
-        if kept_sum > 0.0 {
-            for c in &mut scratch.cands {
-                c.score /= kept_sum;
-            }
-        }
-    }
-
-    /// Convenience wrapper around [`MappingEngine::map_read_raw_with`]
-    /// that allocates owned `RawAlignment`s with a throwaway scratch.
-    pub fn map_read_raw(&self, read: &SequencedRead) -> Vec<RawAlignment> {
-        let mut scratch = AlignScratch::new();
-        self.map_read_raw_with(read, &mut scratch);
-        scratch
-            .alignments()
-            .map(|v| RawAlignment {
-                window_start: v.window_start,
-                placement_start: v.placement_start,
-                likelihood: v.score,
-                reverse: v.reverse,
-                columns: v.columns.to_vec(),
-            })
-            .collect()
-    }
-
-    /// Convenience wrapper around [`MappingEngine::map_read_with`] that
-    /// allocates owned `ReadAlignment`s with a throwaway scratch. Returns
-    /// an empty vector for unmappable reads.
-    pub fn map_read(&self, read: &SequencedRead) -> Vec<ReadAlignment> {
-        let mut scratch = AlignScratch::new();
-        self.map_read_with(read, &mut scratch);
-        scratch
-            .alignments()
-            .map(|v| ReadAlignment {
-                window_start: v.window_start,
-                weight: v.score,
-                reverse: v.reverse,
-                columns: v.columns.to_vec(),
-            })
-            .collect()
+        posterior_weights(&mut scratch.cands, self.config.min_weight, |c| &mut c.score);
     }
 }
 
-/// An unnormalised candidate alignment (see
-/// [`MappingEngine::map_read_raw`]).
-#[derive(Debug, Clone)]
-pub struct RawAlignment {
-    /// Genome position of the window's first column (placement minus pad).
-    pub window_start: usize,
-    /// Genome position the seeds proposed for read base 1.
-    pub placement_start: usize,
-    /// Raw Pair-HMM total likelihood of the window.
-    pub likelihood: f64,
-    /// Reverse-strand flag.
-    pub reverse: bool,
-    /// Per-column evidence vectors, unweighted.
-    pub columns: Vec<ColumnPosterior>,
+/// The GNUMAP posterior-weight rule over one read's candidates, given in
+/// strand-then-ascending-start order: divide each raw likelihood by the
+/// grand total, drop candidates whose weight falls below `min_weight`,
+/// and renormalise over the kept set. `score` projects a candidate onto
+/// its score, which holds the likelihood on entry and the weight on
+/// return; when the grand total is not positive every candidate is
+/// dropped. Both sums and the filter run in candidate order, so the
+/// mapper ([`MappingEngine::map_read_with`]) and genome-split's merged
+/// cross-shard list, which call this one body, get bit-identical weights.
+pub fn posterior_weights<T>(
+    cands: &mut Vec<T>,
+    min_weight: f64,
+    mut score: impl FnMut(&mut T) -> &mut f64,
+) {
+    let grand_total: f64 = cands.iter_mut().map(|c| *score(c)).sum();
+    if grand_total <= 0.0 {
+        cands.clear();
+        return;
+    }
+    cands.retain_mut(|c| {
+        let s = score(c);
+        *s /= grand_total;
+        *s >= min_weight
+    });
+    let kept_sum: f64 = cands.iter_mut().map(|c| *score(c)).sum();
+    if kept_sum > 0.0 {
+        for c in cands.iter_mut() {
+            *score(c) /= kept_sum;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -398,12 +344,36 @@ mod tests {
         SequencedRead::with_uniform_quality("r", g.window(start, end), q)
     }
 
+    /// Owned copy of one weighted alignment.
+    struct ReadAlignment {
+        window_start: usize,
+        weight: f64,
+        reverse: bool,
+        columns: Vec<ColumnPosterior>,
+    }
+
+    /// [`MappingEngine::map_read_with`] through a throwaway scratch,
+    /// copied out.
+    fn map_read(engine: &MappingEngine<'_>, read: &SequencedRead) -> Vec<ReadAlignment> {
+        let mut scratch = AlignScratch::new();
+        engine.map_read_with(read, &mut scratch);
+        scratch
+            .alignments()
+            .map(|v| ReadAlignment {
+                window_start: v.window_start,
+                weight: v.score,
+                reverse: v.reverse,
+                columns: v.columns.to_vec(),
+            })
+            .collect()
+    }
+
     #[test]
     fn unique_read_gets_weight_one() {
         let g = genome("TTGACCAGTTCAGGCATTGCAAGCTTGGCATCCATGGACC");
         let engine = MappingEngine::new(&g, cfg(8));
         let read = read_from(&g, 10, 34, 35);
-        let alns = engine.map_read(&read);
+        let alns = map_read(&engine, &read);
         assert_eq!(alns.len(), 1);
         let a = &alns[0];
         assert!((a.weight - 1.0).abs() < 1e-9);
@@ -429,7 +399,7 @@ mod tests {
         let engine = MappingEngine::new(&g, cfg(8));
         let read =
             SequencedRead::with_uniform_quality("r", g.window(5, 30).reverse_complement(), 35);
-        let alns = engine.map_read(&read);
+        let alns = map_read(&engine, &read);
         assert_eq!(alns.len(), 1);
         assert!(alns[0].reverse);
         assert_eq!(alns[0].window_start, 5);
@@ -443,7 +413,7 @@ mod tests {
         let g = genome(&format!("{unit}TTATTATTAT{unit}"));
         let engine = MappingEngine::new(&g, cfg(8));
         let read = SequencedRead::with_uniform_quality("r", genome(unit), 35);
-        let alns = engine.map_read(&read);
+        let alns = map_read(&engine, &read);
         assert_eq!(alns.len(), 2, "both copies found");
         for a in &alns {
             assert!(
@@ -463,7 +433,7 @@ mod tests {
         let g = genome(&format!("{unit1}TTATTATTAT{unit2}"));
         let engine = MappingEngine::new(&g, cfg(8));
         let read = SequencedRead::with_uniform_quality("r", genome(unit1), 30);
-        let mut alns = engine.map_read(&read);
+        let mut alns = map_read(&engine, &read);
         alns.sort_by(|a, b| b.weight.total_cmp(&a.weight));
         assert_eq!(alns.len(), 2);
         assert!(
@@ -480,7 +450,7 @@ mod tests {
         let g = genome("TTGACCAGTTCAGGCATTGCAAGCTTGGCATCCA");
         let engine = MappingEngine::new(&g, cfg(8));
         let read = SequencedRead::with_uniform_quality("r", genome("GGGGGGGGGGGGGGGGGGGG"), 35);
-        assert!(engine.map_read(&read).is_empty());
+        assert!(map_read(&engine, &read).is_empty());
     }
 
     #[test]
@@ -489,7 +459,7 @@ mod tests {
         let g = genome(&format!("{unit}TT{unit}AATT{unit}GG"));
         let engine = MappingEngine::new(&g, cfg(6));
         let read = SequencedRead::with_uniform_quality("r", genome(unit), 25);
-        let alns = engine.map_read(&read);
+        let alns = map_read(&engine, &read);
         assert!(alns.len() >= 3);
         let sum: f64 = alns.iter().map(|a| a.weight).sum();
         assert!((sum - 1.0).abs() < 1e-9, "weights sum to {sum}");
@@ -507,8 +477,8 @@ mod tests {
         );
         let banded = MappingEngine::new(&g, cfg(8));
         let read = read_from(&g, 4, 36, 35);
-        let a = full.map_read(&read);
-        let b = banded.map_read(&read);
+        let a = map_read(&full, &read);
+        let b = map_read(&banded, &read);
         assert_eq!(a.len(), b.len());
         assert!((a[0].weight - b[0].weight).abs() < 1e-9);
         for (ca, cb) in a[0].columns.iter().zip(&b[0].columns) {
@@ -526,7 +496,7 @@ mod tests {
         let g = genome("TTGACCAGTTCAGGCATTGCAAGCTTGGCATCCA");
         let engine = MappingEngine::new(&g, cfg(8));
         let read = read_from(&g, 6, 30, 30);
-        let alns = engine.map_read(&read);
+        let alns = map_read(&engine, &read);
         for col in &alns[0].columns {
             assert!((col.mass() - 1.0).abs() < 1e-9);
         }

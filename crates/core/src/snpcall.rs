@@ -33,6 +33,29 @@ pub struct SnpCallConfig {
     pub min_total: f64,
 }
 
+impl SnpCallConfig {
+    /// Check the caller-chosen values: `min_total` must be finite and
+    /// non-negative, and the cutoff's α or q a finite probability in
+    /// [0, 1]. Every entry point (`gnumap call`, `gnumap client`, the
+    /// server's `OpenSession`) runs this one check.
+    pub fn validate(&self) -> Result<(), String> {
+        let min_total = self.min_total;
+        if !min_total.is_finite() || min_total < 0.0 {
+            return Err(format!(
+                "min_total {min_total} is not a finite non-negative number"
+            ));
+        }
+        let (name, level) = match self.cutoff {
+            Cutoff::PValue(alpha) => ("alpha", alpha),
+            Cutoff::Fdr(q) => ("fdr", q),
+        };
+        if !(0.0..=1.0).contains(&level) {
+            return Err(format!("{name} {level} is not a probability in [0, 1]"));
+        }
+        Ok(())
+    }
+}
+
 impl Default for SnpCallConfig {
     fn default() -> Self {
         SnpCallConfig {
@@ -238,6 +261,25 @@ mod tests {
 
     fn reference(s: &str) -> DnaSeq {
         s.parse().unwrap()
+    }
+
+    #[test]
+    fn validate_accepts_the_closed_unit_interval_only() {
+        let with = |cutoff, min_total| SnpCallConfig {
+            ploidy: Ploidy::Monoploid,
+            cutoff,
+            min_total,
+        };
+        for cutoff in [Cutoff::PValue(0.0), Cutoff::PValue(1.0), Cutoff::Fdr(0.05)] {
+            assert_eq!(with(cutoff, 0.0).validate(), Ok(()));
+        }
+        for level in [-1.0, 2.0, f64::NAN, f64::INFINITY] {
+            assert!(with(Cutoff::PValue(level), 3.0).validate().is_err());
+            assert!(with(Cutoff::Fdr(level), 3.0).validate().is_err());
+        }
+        for min_total in [-5.0, f64::NAN, f64::INFINITY] {
+            assert!(with(Cutoff::PValue(0.05), min_total).validate().is_err());
+        }
     }
 
     /// Accumulate `n` units of pure evidence for symbol `k` at `pos`.

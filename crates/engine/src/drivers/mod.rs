@@ -3,10 +3,11 @@
 //! Each driver is a unit struct implementing [`crate::Driver`] whose body
 //! is written once, takes the run's observer from the context, and calls
 //! the one map → deposit body in `gnumap_core::pipeline` (genome-split,
-//! which renormalises across ranks, keeps its own loop). Drivers over
-//! in-memory reads whose body is generic over the accumulator layout
-//! (rayon, read-split, genome-split) get the layout from the single
-//! dispatch in `gnumap_core::accum`. The serial pipeline lives in
+//! which renormalises across ranks, keeps its own batch and allreduce
+//! loop, sharing the mapper's posterior-weight rule and the deposit).
+//! Drivers over in-memory reads whose body is generic over the
+//! accumulator layout (rayon, read-split, genome-split) get the layout
+//! from the single dispatch in `gnumap_core::accum`. The serial pipeline lives in
 //! `gnumap_core::pipeline` (it is the reference the other crates test
 //! against) and the stream driver and the server are engines of their
 //! own crates; their drivers validate the context and call them.

@@ -22,7 +22,10 @@
 //! the serial reference, the stream engine and the server, in the crate
 //! that owns it — takes the observer from the [`RunContext`], and runs
 //! the one map → deposit body, `gnumap_core::pipeline::accumulate_reads_with`
-//! (genome-split, which renormalises across ranks, keeps its own loop).
+//! (genome-split, which renormalises across ranks, keeps its own batch and
+//! allreduce loop, but weighs reads with the mapper's one rule,
+//! `gnumap_core::mapping::posterior_weights`, and deposits through
+//! `gnumap_core::pipeline::deposit`).
 //! Layout-generic bodies get their accumulator type from the one
 //! dispatch, `AccumulatorMode::dispatch`. With the fixed-point accumulator, every
 //! driver resolved from the registry produces the same accumulator digest

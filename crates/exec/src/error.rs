@@ -1,15 +1,18 @@
 //! Error type for the streaming engine.
 
+use genome::GenomeError;
 use gnumap_core::driver::CallWireError;
 use std::fmt;
 
 /// Anything that can stop a streaming run.
 #[derive(Debug)]
 pub enum ExecError {
-    /// Filesystem failure (checkpoint I/O, FASTQ reading).
+    /// Filesystem failure (checkpoint I/O).
     Io(std::io::Error),
-    /// The read source produced malformed input.
+    /// The read source failed (for example, a file that cannot be opened).
     Source(String),
+    /// A FASTQ source held a malformed record.
+    Fastq(GenomeError),
     /// A checkpoint file failed validation.
     Checkpoint(String),
     /// A call wire failed to decode (kept for API parity with the MPI
@@ -28,6 +31,7 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::Io(e) => write!(f, "i/o error: {e}"),
             ExecError::Source(msg) => write!(f, "read source: {msg}"),
+            ExecError::Fastq(e) => write!(f, "{e}"),
             ExecError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
             ExecError::Wire(e) => write!(f, "{e}"),
             ExecError::Aborted { cursor } => {
@@ -41,6 +45,7 @@ impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ExecError::Io(e) => Some(e),
+            ExecError::Fastq(e) => Some(e),
             ExecError::Wire(e) => Some(e),
             _ => None,
         }
@@ -50,6 +55,12 @@ impl std::error::Error for ExecError {
 impl From<std::io::Error> for ExecError {
     fn from(e: std::io::Error) -> Self {
         ExecError::Io(e)
+    }
+}
+
+impl From<GenomeError> for ExecError {
+    fn from(e: GenomeError) -> Self {
+        ExecError::Fastq(e)
     }
 }
 

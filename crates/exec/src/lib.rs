@@ -10,7 +10,9 @@
 //!
 //! * [`stream`] — a chunked [`stream::ReadStream`] trait with FASTQ-file,
 //!   simulator-backed and in-memory implementations, feeding a bounded
-//!   channel so a slow consumer applies backpressure to the source;
+//!   channel so a slow consumer applies backpressure to the source. The
+//!   FASTQ one parses nothing itself: it chunks `genome::fastq`'s one
+//!   parser, so a file is accepted or rejected as on every other path;
 //! * [`driver`] — a batch scheduler that groups arriving reads into
 //!   length-sorted micro-batches and dispatches them to a work-stealing
 //!   worker pool;

@@ -2,7 +2,8 @@
 //!
 //! This crate provides the data-layer foundation the paper's mapper is built
 //! on: the four-letter DNA alphabet (plus `N`), owned and packed sequence
-//! types, FASTA/FASTQ parsing and serialisation, Phred quality handling,
+//! types, FASTA/FASTQ parsing and serialisation (`fastq::FastqReader` is
+//! the program's one FASTQ parser), Phred quality handling,
 //! 2-bit k-mer encoding, and the genomic k-mer hash index (paper Section V,
 //! step 1: "create a genomic hash table of k-mers, default k = 10").
 //!

@@ -396,17 +396,16 @@ fn get_session_config(p: &mut Payload<'_>) -> Result<SessionConfig, ProtocolErro
             )))
         }
     };
-    let min_total = p.f64("min_total")?;
-    if !min_total.is_finite() || min_total < 0.0 {
-        return Err(ProtocolError::Malformed(format!(
-            "min_total {min_total} is not a finite non-negative number"
-        )));
-    }
-    Ok(SessionConfig {
+    let config = SessionConfig {
         ploidy,
         cutoff,
-        min_total,
-    })
+        min_total: p.f64("min_total")?,
+    };
+    config
+        .to_call_config()
+        .validate()
+        .map_err(ProtocolError::Malformed)?;
+    Ok(config)
 }
 
 fn put_reads(buf: &mut Vec<u8>, reads: &[SequencedRead]) {
@@ -964,6 +963,27 @@ mod tests {
             read_request(&mut Cursor::new(&bytes), None),
             Err(ProtocolError::Truncated("frame tag"))
         ));
+    }
+
+    #[test]
+    fn out_of_range_session_configs_are_malformed() {
+        let bad = [
+            (Cutoff::PValue(f64::NAN), 3.0, "alpha NaN"),
+            (Cutoff::Fdr(2.0), 3.0, "fdr 2"),
+            (Cutoff::PValue(0.05), -1.0, "min_total -1"),
+        ];
+        for (cutoff, min_total, want) in bad {
+            let config = SessionConfig {
+                ploidy: Ploidy::Monoploid,
+                cutoff,
+                min_total,
+            };
+            let bytes = Request::OpenSession(config).encode();
+            match read_request(&mut Cursor::new(&bytes), None) {
+                Err(ProtocolError::Malformed(msg)) => assert!(msg.starts_with(want), "{msg}"),
+                other => panic!("{want}: expected Malformed, got {other:?}"),
+            }
+        }
     }
 
     #[test]

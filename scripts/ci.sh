@@ -62,6 +62,23 @@ for driver in serial rayon read-split read-split-ring genome-split stream server
     }
 done
 
+echo "==> fastq smoke: CRLF line endings and trailing spaces, serial vs stream"
+# One FASTQ parser serves every driver: a copy of the reads with a
+# trailing space and a CR on every line must map identically both ways.
+sed 's/$/ \r/' "$trace_dir/reads.fq" > "$trace_dir/reads.crlf.fq"
+crlf_summary() {
+    target/release/gnumap call --reference "$trace_dir/reference.fa" \
+        --reads "$trace_dir/reads.crlf.fq" --out "$trace_dir/crlf.$1.vcf" \
+        --driver "$1" | grep -o 'mapped [0-9]*/[0-9]*'
+}
+serial_summary="$(crlf_summary serial)"
+stream_summary="$(crlf_summary stream)"
+[[ "$serial_summary" == "$stream_summary" ]] || {
+    echo "serial ($serial_summary) and stream ($stream_summary) disagree" \
+        "on the CRLF + trailing-space FASTQ"
+    exit 1
+}
+
 echo "==> serve smoke: loopback server round trip + clean drain"
 smoke_dir="target/serve-smoke"
 rm -rf "$smoke_dir"

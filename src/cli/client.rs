@@ -72,13 +72,12 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
 
     // Session mode: stream a FASTQ through the server and print calls.
     let reads_path = reads_path.expect("mode check guarantees --reads");
-    let ploidy = parse_ploidy(&ploidy_s)?;
-    let cutoff = parse_cutoff(alpha, fdr)?;
     let session_config = server::SessionConfig {
-        ploidy,
-        cutoff,
+        ploidy: parse_ploidy(&ploidy_s)?,
+        cutoff: parse_cutoff(alpha, fdr)?,
         min_total: min_coverage,
     };
+    session_config.to_call_config().validate()?;
     let session = client
         .open_session(session_config)
         .map_err(|e| e.to_string())?;

@@ -11,7 +11,7 @@ use super::{parse_accumulator, parse_cutoff, parse_float_opt, parse_ploidy, read
 use crate::core::observe::{JsonLinesSink, Observer};
 use crate::core::snpcall::SnpCallConfig;
 use crate::core::GnumapConfig;
-use engine::{DriverRegistry, NullSink, ReadSource, RunContext};
+use engine::{DriverRegistry, EngineError, NullSink, ReadSource, RunContext};
 use genome::fastq;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -61,8 +61,12 @@ pub(super) fn cmd_call(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         return Err("--resume needs --checkpoint-dir".into());
     }
 
-    let ploidy = parse_ploidy(&ploidy_s)?;
-    let cutoff = parse_cutoff(alpha, fdr)?;
+    let calling = SnpCallConfig {
+        ploidy: parse_ploidy(&ploidy_s)?,
+        cutoff: parse_cutoff(alpha, fdr)?,
+        min_total: min_coverage,
+    };
+    calling.validate()?;
     let accumulator = parse_accumulator(&accumulator_s)?;
     if !caps.supports(accumulator) {
         let supported: Vec<String> = caps
@@ -81,11 +85,7 @@ pub(super) fn cmd_call(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 
     let mut ctx = RunContext::new(&reference);
     ctx.config = GnumapConfig {
-        calling: SnpCallConfig {
-            ploidy,
-            cutoff,
-            min_total: min_coverage,
-        },
+        calling,
         accumulator,
         ..Default::default()
     };
@@ -116,18 +116,15 @@ pub(super) fn cmd_call(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         ctx.observer = Observer::new(sink.clone());
     }
 
-    let mut call_sink = NullSink;
-    let report = if caps.streaming {
-        // Streaming drivers read the FASTQ incrementally: constant memory.
-        let mut stream = exec::FastqStream::open(&reads_path).map_err(|e| e.to_string())?;
-        driver.run(&ctx, ReadSource::Stream(&mut stream), &mut call_sink)
-    } else {
-        let reads_file = File::open(&reads_path).map_err(|e| format!("{reads_path}: {e}"))?;
-        let reads = fastq::read_fastq(BufReader::new(reads_file))
-            .map_err(|e| format!("{reads_path}: {e}"))?;
-        driver.run(&ctx, ReadSource::Slice(&reads), &mut call_sink)
-    }
-    .map_err(|e| e.to_string())?;
+    // Every driver takes the FASTQ as a stream: the stream driver reads it
+    // incrementally in constant memory, the others drain it first.
+    let mut reads = exec::FastqStream::open(&reads_path).map_err(|e| e.to_string())?;
+    let report = driver
+        .run(&ctx, ReadSource::Stream(&mut reads), &mut NullSink)
+        .map_err(|e| match e {
+            EngineError::Exec(exec::ExecError::Fastq(e)) => format!("{reads_path}: {e}"),
+            e => e.to_string(),
+        })?;
     if let Some(sink) = &trace_sink {
         sink.flush().map_err(|e| format!("--trace-json: {e}"))?;
     }
@@ -425,6 +422,97 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("mutually exclusive"));
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fresh temp directory holding a simulated 3 kbp reference and
+    /// its reads.
+    fn simulated_inputs(tag: &str) -> (std::path::PathBuf, String, String) {
+        let dir = std::env::temp_dir().join(format!("gnumap-cli-{tag}-{}", std::process::id()));
+        let dirs = dir.to_str().unwrap().to_string();
+        std::fs::create_dir_all(&dir).unwrap();
+        run_to_string(&[
+            "simulate",
+            "--out-dir",
+            &dirs,
+            "--genome-len",
+            "3000",
+            "--snps",
+            "2",
+            "--coverage",
+            "2",
+            "--seed",
+            "11",
+        ])
+        .unwrap();
+        (
+            dir,
+            format!("{dirs}/reference.fa"),
+            format!("{dirs}/reads.fq"),
+        )
+    }
+
+    #[test]
+    fn every_driver_reads_fastq_through_the_one_parser() {
+        let (dir, fa, fq) = simulated_inputs("fastq-edges");
+        // Two simulated records, each sequence line with a trailing space.
+        let text = std::fs::read_to_string(&fq).unwrap();
+        let spaced: String = text
+            .lines()
+            .take(8)
+            .enumerate()
+            .map(|(i, l)| {
+                if i % 4 == 1 {
+                    format!("{l} \n")
+                } else {
+                    format!("{l}\n")
+                }
+            })
+            .collect();
+        let spaced_fq = dir.join("spaced.fq");
+        std::fs::write(&spaced_fq, spaced).unwrap();
+        let bad_fq = dir.join("bad.fq");
+        std::fs::write(&bad_fq, "@r1\nACXT\n+\nIIII\n").unwrap();
+
+        let vcf = dir.join("out.vcf");
+        for driver in ["serial", "stream", "rayon", "genome-split", "server"] {
+            let call = |reads: &std::path::Path| {
+                run_to_string(&[
+                    "call",
+                    "--reference",
+                    &fa,
+                    "--reads",
+                    reads.to_str().unwrap(),
+                    "--out",
+                    vcf.to_str().unwrap(),
+                    "--driver",
+                    driver,
+                ])
+            };
+            let msg = call(&spaced_fq).unwrap_or_else(|e| panic!("{driver}: {e}"));
+            assert!(msg.contains("mapped 2/2 reads"), "{driver}: {msg}");
+            let err = call(&bad_fq).unwrap_err();
+            assert!(
+                err.ends_with("invalid sequence character 'X' on line 2"),
+                "{driver}: {err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn call_rejects_out_of_range_cutoffs_and_coverage() {
+        let (dir, fa, fq) = simulated_inputs("bad-config");
+        for (flag, value, want) in [
+            ("--alpha", "2", "alpha 2 is not a probability"),
+            ("--alpha", "-1", "alpha -1 is not a probability"),
+            ("--min-coverage", "nan", "min_total NaN is not a finite"),
+            ("--min-coverage", "-5", "min_total -5 is not a finite"),
+        ] {
+            let err = run_to_string(&["call", "--reference", &fa, "--reads", &fq, flag, value])
+                .unwrap_err();
+            assert!(err.contains(want), "{flag} {value}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
