@@ -84,8 +84,6 @@ fn stream_ctx<'r>(wl: &'r Workload) -> RunContext<'r> {
     ctx.config.accumulator = AccumulatorMode::Fixed;
     ctx.threads = 2;
     ctx.batch_size = 16;
-    ctx.chunk_size = 32;
-    ctx.batches_per_worker = 2;
     ctx.shards = 8;
     ctx
 }

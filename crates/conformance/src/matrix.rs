@@ -258,8 +258,6 @@ fn compare_drivers(
             "stream" => {
                 ctx.threads = [1, 2, 4][workload % 3];
                 ctx.batch_size = [16, 32, 64][workload % 3];
-                ctx.chunk_size = [64, 128][workload % 2];
-                ctx.batches_per_worker = 1 + workload % 3;
                 ctx.shards = [4, 16, 32][workload % 3];
                 run_and_assert(
                     out,
@@ -285,7 +283,6 @@ fn compare_drivers(
                 }
                 ctx.threads = 2;
                 ctx.batch_size = 16;
-                ctx.chunk_size = 32;
                 run_and_assert(
                     out,
                     workload,

@@ -69,8 +69,6 @@ fn every_registry_driver_runs_twice_identically() {
         ctx.seed = spec().seed;
         ctx.threads = 3;
         ctx.batch_size = 16;
-        ctx.chunk_size = 48;
-        ctx.batches_per_worker = 2;
         ctx.shards = 8;
 
         let run = |d: &dyn Driver| {

@@ -77,7 +77,6 @@ fn every_driver_runs_every_advertised_accumulator_mode() {
             ctx.seed = workload_spec().seed;
             ctx.threads = 2;
             ctx.batch_size = 16;
-            ctx.chunk_size = 32;
             ctx.shards = 8;
 
             let report = driver

@@ -35,9 +35,8 @@ impl CommModel {
     }
 }
 
-/// Execution statistics from the streaming driver: how full the batch
-/// pipeline ran, how deep its queues got, and where time was lost to
-/// waiting rather than work.
+/// Execution statistics from the streaming driver: how full its
+/// micro-batches ran and whether it checkpointed or resumed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamStats {
     /// Worker threads the scheduler ran.
@@ -49,16 +48,6 @@ pub struct StreamStats {
     /// Mean fill fraction of dispatched batches (1.0 = every batch full;
     /// the tail batch of each window drags this below 1).
     pub mean_batch_occupancy: f64,
-    /// Deepest the source→scheduler channel ever got, in chunks.
-    pub max_queue_depth: usize,
-    /// Mean source→scheduler channel depth sampled at each chunk arrival.
-    pub mean_queue_depth: f64,
-    /// Seconds the source thread spent blocked on a full channel
-    /// (backpressure engaged).
-    pub source_stall_secs: f64,
-    /// Total seconds workers spent idle between batches, summed over
-    /// workers.
-    pub worker_stall_secs: f64,
     /// Checkpoints written during the run.
     pub checkpoints_written: usize,
     /// Whether this run started from a checkpoint instead of the stream

@@ -29,12 +29,6 @@ pub struct RunContext<'r> {
     pub threads: usize,
     /// Reads per micro-batch (stream and server drivers).
     pub batch_size: usize,
-    /// Reads per source chunk / client submit (stream and server drivers).
-    pub chunk_size: usize,
-    /// Bounded channel capacity in chunks (stream driver).
-    pub channel_capacity: usize,
-    /// Micro-batches per worker per scheduling window (stream driver).
-    pub batches_per_worker: usize,
     /// Lock stripes in the shared accumulator (stream and server drivers).
     pub shards: usize,
     /// Periodic checkpointing (stream driver only).
@@ -56,9 +50,6 @@ impl<'r> RunContext<'r> {
             seed: 0,
             threads: 1,
             batch_size: sc.batch_size,
-            chunk_size: sc.chunk_size,
-            channel_capacity: sc.channel_capacity,
-            batches_per_worker: sc.batches_per_worker,
             shards: sc.shards,
             checkpoint: None,
             abort_after_batches: None,
@@ -71,9 +62,6 @@ impl<'r> RunContext<'r> {
         StreamConfig {
             workers: self.threads.max(1),
             batch_size: self.batch_size,
-            chunk_size: self.chunk_size,
-            channel_capacity: self.channel_capacity,
-            batches_per_worker: self.batches_per_worker,
             shards: self.shards,
             checkpoint: self.checkpoint.clone(),
             abort_after_batches: self.abort_after_batches,
@@ -86,8 +74,6 @@ impl<'r> RunContext<'r> {
         for (value, what) in [
             (self.threads, "threads"),
             (self.batch_size, "batch_size"),
-            (self.chunk_size, "chunk_size"),
-            (self.batches_per_worker, "batches_per_worker"),
             (self.shards, "shards"),
         ] {
             if value == 0 {

@@ -16,8 +16,9 @@ const FINALIZE_DEADLINE_MS: u32 = 120_000;
 
 /// The batching SNP-calling daemon exercised end to end: each run starts
 /// a real TCP server on a loopback port, streams the reads through a
-/// session in `chunk_size` submits, finalizes, and tears the server
-/// down. Sessions accumulate in fixed point, so the digest and calls are
+/// session in submits of [`server::SUBMIT_CHUNK_READS`] reads (as
+/// `gnumap client` does), finalizes, and tears the server down.
+/// Sessions accumulate in fixed point, so the digest and calls are
 /// bit-identical to serial regardless of worker count or batch mixing;
 /// as with the stream driver, `NORM` selects the same fixed-point path.
 pub struct ServerDriver;
@@ -79,7 +80,7 @@ impl Driver for ServerDriver {
             // Map stage: every read travels through the wire and the
             // worker pool before finalize can answer.
             let timer = StageTimer::start(observer, Stage::Map);
-            for chunk in reads.chunks(ctx.chunk_size) {
+            for chunk in reads.chunks(server::SUBMIT_CHUNK_READS) {
                 client
                     .submit_reads_retrying(session, chunk)
                     .map_err(|e| format!("submit: {e}"))?;

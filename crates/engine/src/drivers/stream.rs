@@ -9,8 +9,9 @@ use exec::{run_stream, MemoryStream};
 use gnumap_core::accum::{AccumulatorMode, FixedAccumulator};
 use gnumap_core::report::RunReport;
 
-/// Work-stealing micro-batch pipeline over an unbounded source, with
-/// backpressure, a sharded shared accumulator, and checkpoint/resume.
+/// Windowed micro-batch pipeline over an unbounded source: scoped
+/// workers per window, at most two windows in memory, a sharded shared
+/// accumulator, and checkpoint/resume at window barriers.
 /// Always accumulates in fixed point — integer deposits commute, so any
 /// worker count, batch shape or checkpoint split is bit-identical to
 /// serial. `NORM` is accepted as a selection (fixed point quantizes the
@@ -27,7 +28,7 @@ impl Driver for StreamDriver {
     }
 
     fn description(&self) -> &'static str {
-        "work-stealing micro-batch pipeline with backpressure and checkpoint/resume"
+        "windowed micro-batch pipeline with bounded memory and checkpoint/resume"
     }
 
     fn capabilities(&self) -> Capabilities {

@@ -61,7 +61,6 @@ fn every_bit_exact_driver_matches_the_serial_fixed_digest() {
     };
     ctx.threads = 3;
     ctx.batch_size = 16;
-    ctx.chunk_size = 32;
 
     let serial = registry
         .get("serial")

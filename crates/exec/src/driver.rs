@@ -1,33 +1,28 @@
-//! The streaming batch scheduler and worker pool.
-//!
-//! Topology:
+//! The streaming batch scheduler: one loop on the caller's thread.
 //!
 //! ```text
-//! source thread ──bounded channel──▶ scheduler ──injector──▶ N workers
-//!   (ReadStream)   (backpressure)      │    ▲                 │
-//!                                      │    └──batch results──┘
-//!                                      └─▶ checkpoint at window barriers
+//! ReadStream ──fill──▶ window ──stable sort by length──▶ micro-batches
+//!                                                            │
+//!      std::thread::scope: N workers claim batches ◀─────────┘
+//!      while the caller fills the next window
+//!                          │
+//!      end of scope = window barrier ──▶ cursor, checkpoint, abort hook
 //! ```
 //!
-//! The **source thread** pulls fixed-size chunks from the [`ReadStream`]
-//! and sends them down a bounded channel; when workers fall behind, the
-//! channel fills and the source blocks — backpressure, measured as
-//! `source_stall_secs`.
-//!
-//! The **scheduler** (caller's thread) drains chunks into a *window* of
-//! `workers × batches_per_worker × batch_size` reads, stable-sorts the
-//! window by read length (so a micro-batch holds similar-length reads and
-//! its Pair-HMM work is even), splits it into micro-batches and pushes
-//! them onto a work-stealing injector. It then waits for every batch of
-//! the window to complete — the *window barrier* — advances the stream
-//! cursor, and (on schedule) writes a checkpoint. Window composition
-//! depends only on stream order and configuration, never on timing, which
-//! is what makes runs reproducible.
-//!
-//! **Workers** steal batches, map each read, and deposit evidence directly
-//! into the [`ShardedAccumulator`] — no per-worker replica, no final
-//! merge. With [`FixedAccumulator`] deposits commute bit-exactly, so any
-//! steal order yields the identical accumulator.
+//! The caller pulls chunks from the [`ReadStream`] into a *window* of
+//! `workers × 2 × batch_size` reads, until the window is full or the
+//! stream ends, and stable-sorts it by read length (so a micro-batch
+//! holds similar-length reads and its Pair-HMM work is even). It then
+//! runs the window's micro-batches inside one [`std::thread::scope`]:
+//! each worker claims batch indices from a shared counter, maps each
+//! read, and deposits evidence directly into the [`ShardedAccumulator`]
+//! — no per-worker replica, no final merge. Meanwhile the caller reads
+//! the next window, so at most two windows are in memory. The end of the
+//! scope is the *window barrier*: the cursor advances and (on schedule)
+//! a checkpoint is written. Window composition depends only on stream
+//! order and configuration, never on timing, and with
+//! [`FixedAccumulator`] deposits commute bit-exactly, so any claim order
+//! yields the identical accumulator.
 //!
 //! [`FixedAccumulator`]: gnumap_core::accum::FixedAccumulator
 
@@ -35,9 +30,6 @@ use crate::checkpoint::{self, Checkpoint};
 use crate::error::ExecError;
 use crate::sharded::ShardedAccumulator;
 use crate::stream::ReadStream;
-use crossbeam::channel;
-use crossbeam::deque::{Injector, Steal};
-use crossbeam::utils::Backoff;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::GenomeAccumulator;
@@ -48,10 +40,13 @@ use gnumap_core::report::{RunReport, StreamStats};
 use gnumap_core::snpcall::call_snps;
 use gnumap_core::{GnumapConfig, MappingEngine};
 use mpisim::ThreadCpuTimer;
-use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
+
+/// Micro-batches per worker in one scheduling window: a worker that
+/// finishes a short batch early claims another before the barrier.
+const BATCHES_PER_WORKER: usize = 2;
 
 /// When and where to snapshot engine state.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,13 +67,6 @@ pub struct StreamConfig {
     pub workers: usize,
     /// Reads per micro-batch.
     pub batch_size: usize,
-    /// Reads per source chunk (one channel message).
-    pub chunk_size: usize,
-    /// Bounded channel capacity in chunks; the source blocks when the
-    /// scheduler falls this far behind.
-    pub channel_capacity: usize,
-    /// Micro-batches per worker per scheduling window.
-    pub batches_per_worker: usize,
     /// Lock stripes in the shared accumulator.
     pub shards: usize,
     /// Periodic checkpointing; `None` disables it.
@@ -93,9 +81,6 @@ impl Default for StreamConfig {
         StreamConfig {
             workers: 1,
             batch_size: 64,
-            chunk_size: 256,
-            channel_capacity: 4,
-            batches_per_worker: 2,
             shards: 16,
             checkpoint: None,
             abort_after_batches: None,
@@ -103,15 +88,31 @@ impl Default for StreamConfig {
     }
 }
 
-/// One unit of worker work.
-struct Batch {
-    reads: Vec<SequencedRead>,
+/// What a worker keeps from one window to the next.
+#[derive(Default)]
+struct Worker {
+    /// Scratch arena reused for every batch this worker maps.
+    scratch: AlignScratch,
+    /// CPU seconds spent mapping, summed over windows.
+    cpu_secs: f64,
 }
 
-/// Completion message from a worker.
-struct BatchDone {
-    reads: usize,
-    mapped: usize,
+/// Pull reads until the window holds `size` of them or the stream ends.
+/// A source error also ends the stream: it comes back with the reads
+/// pulled before it, which the run still processes.
+fn fill_window(
+    stream: &mut dyn ReadStream,
+    size: usize,
+) -> (Vec<SequencedRead>, Option<ExecError>) {
+    let mut window = Vec::with_capacity(size);
+    while window.len() < size {
+        match stream.next_chunk(size - window.len()) {
+            Ok(chunk) if chunk.is_empty() => break,
+            Ok(chunk) => window.extend(chunk),
+            Err(e) => return (window, Some(e)),
+        }
+    }
+    (window, None)
 }
 
 /// Run the streaming engine over `stream`, calling SNPs at end of input.
@@ -119,9 +120,9 @@ struct BatchDone {
 /// With `A = FixedAccumulator` the returned calls are bit-identical to
 /// the serial pipeline's on the same reads, for any worker count, batch
 /// size, chunking or checkpoint/resume split. `observer` receives one
-/// [`Event::Batch`] per stolen micro-batch (tagged with the stealing
-/// worker's index), an [`Event::Checkpoint`] for every checkpoint record
-/// written, and stage timings taken on the scheduler thread.
+/// [`Event::Batch`] per micro-batch (tagged with the index of the worker
+/// that mapped it), an [`Event::Checkpoint`] for every checkpoint record
+/// written, and stage timings taken on the caller's thread.
 pub fn run_stream<A: GenomeAccumulator>(
     reference: &DnaSeq,
     stream: &mut dyn ReadStream,
@@ -131,7 +132,6 @@ pub fn run_stream<A: GenomeAccumulator>(
 ) -> Result<RunReport, ExecError> {
     assert!(sc.workers >= 1, "need at least one worker");
     assert!(sc.batch_size >= 1, "batches must hold at least one read");
-    assert!(sc.chunk_size >= 1, "chunks must hold at least one read");
     observer.emit(|| Event::run_start("stream", config.accumulator));
     let start = Instant::now();
 
@@ -163,207 +163,105 @@ pub fn run_stream<A: GenomeAccumulator>(
     let timer = StageTimer::start(observer, Stage::Index);
     let engine = MappingEngine::new(reference, config.mapping);
     timer.finish(observer);
-    let window_reads = sc.workers * sc.batches_per_worker * sc.batch_size;
+    let window_size = sc.workers * BATCHES_PER_WORKER * sc.batch_size;
+    let mut workers: Vec<Worker> = std::iter::repeat_with(Worker::default)
+        .take(sc.workers)
+        .collect();
 
-    // ---- plumbing ------------------------------------------------------
-    let (chunk_tx, chunk_rx) = channel::bounded::<Vec<SequencedRead>>(sc.channel_capacity);
-    let (done_tx, done_rx) = channel::unbounded::<BatchDone>();
-    let injector = Injector::<Batch>::new();
-    let shutdown = AtomicBool::new(false);
-    let source_stall_nanos = AtomicU64::new(0);
-    let source_error: Mutex<Option<ExecError>> = Mutex::new(None);
-
-    // ---- stats ---------------------------------------------------------
     let mut batches_dispatched = 0usize;
     let mut reads_dispatched = 0usize;
-    let mut max_queue_depth = 0usize;
-    let mut queue_depth_sum = 0usize;
-    let mut queue_samples = 0usize;
     let mut checkpoints_written = 0usize;
     let mut batches_since_checkpoint = 0usize;
     let mut aborted = false;
 
     let map_timer = StageTimer::start(observer, Stage::Map);
-    let worker_outcomes = std::thread::scope(|scope| -> Result<Vec<(f64, f64)>, ExecError> {
-        // Source thread: chunk the stream into the bounded channel. It
-        // owns the only sender, so the channel disconnects (and the
-        // scheduler sees end of stream) the moment this thread returns.
-        let source_error_ref = &source_error;
-        let source_stall_ref = &source_stall_nanos;
-        scope.spawn(move || {
-            let tx = chunk_tx;
-            loop {
-                let chunk = match stream.next_chunk(sc.chunk_size) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        *source_error_ref.lock() = Some(e);
-                        break;
-                    }
-                };
-                if chunk.is_empty() {
-                    break; // end of stream
-                }
-                let blocked = Instant::now();
-                if tx.send(chunk).is_err() {
-                    break; // scheduler gone (abort): stop producing
-                }
-                source_stall_ref.fetch_add(blocked.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-        });
-
-        // Worker pool: steal batches, map, deposit.
-        let workers: Vec<_> = (0..sc.workers)
-            .map(|worker_index| {
-                let injector = &injector;
-                let shutdown = &shutdown;
-                let mut sink = &sharded;
-                let engine = &engine;
-                let done_tx = done_tx.clone();
+    let (mut window, mut source_error) = fill_window(stream, window_size);
+    while !window.is_empty() {
+        // Length-sorted micro-batches: similar-length reads cost similar
+        // Pair-HMM time, keeping batch runtimes even. The sort is stable,
+        // so composition is deterministic.
+        window.sort_by_key(SequencedRead::len);
+        let window_len = window.len();
+        let batches: Vec<&[SequencedRead]> = window.chunks(sc.batch_size).collect();
+        let window_batches = batches.len();
+        // A short window means the stream ended or failed: read no further.
+        let read_ahead = source_error.is_none() && window_len >= window_size;
+        let next_batch = AtomicUsize::new(0);
+        let window_mapped = AtomicUsize::new(0);
+        let (next_window, next_error) = std::thread::scope(|scope| {
+            for (worker_index, worker) in workers.iter_mut().take(window_batches).enumerate() {
+                let (batches, next_batch, window_mapped) = (&batches, &next_batch, &window_mapped);
+                let (engine, mut sink) = (&engine, &sharded);
                 scope.spawn(move || {
                     let cpu = ThreadCpuTimer::start();
-                    let mut stall = Duration::ZERO;
-                    let mut backoff = Backoff::new();
-                    // Per-worker scratch arena, reused for every stolen
-                    // batch this thread ever processes.
-                    let mut scratch = AlignScratch::new();
-                    loop {
-                        match injector.steal() {
-                            Steal::Success(batch) => {
-                                backoff.reset();
-                                let counts = accumulate_reads_with(
-                                    engine,
-                                    &batch.reads,
-                                    &mut sink,
-                                    &mut scratch,
-                                );
-                                observer.emit(|| counts.event(worker_index));
-                                let _ = done_tx.send(BatchDone {
-                                    reads: batch.reads.len(),
-                                    mapped: counts.mapped as usize,
-                                });
-                            }
-                            Steal::Retry => {}
-                            Steal::Empty => {
-                                if shutdown.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                let idle = Instant::now();
-                                backoff.snooze();
-                                stall += idle.elapsed();
-                            }
-                        }
+                    let claim = || batches.get(next_batch.fetch_add(1, Ordering::Relaxed));
+                    while let Some(&batch) = claim() {
+                        let counts =
+                            accumulate_reads_with(engine, batch, &mut sink, &mut worker.scratch);
+                        observer.emit(|| counts.event(worker_index));
+                        window_mapped.fetch_add(counts.mapped as usize, Ordering::Relaxed);
                     }
-                    (cpu.elapsed(), stall.as_secs_f64())
-                })
-            })
-            .collect();
-
-        // Scheduler: windows → sorted micro-batches → barrier → checkpoint.
-        let mut pending: Vec<SequencedRead> = Vec::with_capacity(window_reads);
-        let mut source_done = false;
-        'windows: while !source_done || !pending.is_empty() {
-            // Fill a window (or take what is left at end of stream).
-            while pending.len() < window_reads && !source_done {
-                match chunk_rx.recv() {
-                    Ok(chunk) => {
-                        let depth = chunk_rx.len();
-                        max_queue_depth = max_queue_depth.max(depth);
-                        queue_depth_sum += depth;
-                        queue_samples += 1;
-                        pending.extend(chunk);
-                    }
-                    Err(_) => source_done = true,
-                }
+                    worker.cpu_secs += cpu.elapsed();
+                });
             }
-            if pending.is_empty() {
+            // Read ahead while the workers map this window.
+            if read_ahead {
+                fill_window(stream, window_size)
+            } else {
+                (Vec::new(), None)
+            }
+        });
+        // Window barrier: the scope has joined every worker, so each
+        // batch of this window is deposited.
+        window = next_window;
+        source_error = source_error.or(next_error);
+        batches_dispatched += window_batches;
+        batches_since_checkpoint += window_batches;
+        reads_dispatched += window_len;
+        cursor += window_len;
+        mapped_total += window_mapped.into_inner();
+
+        // Periodic checkpoint, at a barrier so the snapshot is
+        // consistent with the cursor.
+        if let Some(policy) = &sc.checkpoint {
+            if batches_since_checkpoint >= policy.every_batches {
+                checkpoint::save(
+                    &policy.path,
+                    &Checkpoint {
+                        cursor,
+                        reads_mapped: mapped_total,
+                        counts: sharded.snapshot_counts(),
+                    },
+                )?;
+                checkpoints_written += 1;
+                batches_since_checkpoint = 0;
+                observer.emit(|| Event::Checkpoint {
+                    cursor: cursor as u64,
+                    reads_mapped: mapped_total as u64,
+                });
+            }
+        }
+
+        // Kill hook: die after the barrier, like a SIGKILL between
+        // windows — whatever checkpoint exists on disk is all a restart
+        // will see.
+        if let Some(limit) = sc.abort_after_batches {
+            if batches_dispatched >= limit {
+                aborted = true;
                 break;
             }
-            let window: Vec<SequencedRead> = if pending.len() > window_reads {
-                let rest = pending.split_off(window_reads);
-                std::mem::replace(&mut pending, rest)
-            } else {
-                std::mem::take(&mut pending)
-            };
-            let window_len = window.len();
-
-            // Length-sorted micro-batches: similar-length reads cost
-            // similar Pair-HMM time, keeping batch runtimes even. The
-            // sort is stable, so composition is deterministic.
-            let mut sorted = window;
-            sorted.sort_by_key(SequencedRead::len);
-            let mut window_batches = 0usize;
-            while !sorted.is_empty() {
-                let tail = sorted.split_off(sorted.len().min(sc.batch_size));
-                let batch = std::mem::replace(&mut sorted, tail);
-                reads_dispatched += batch.len();
-                injector.push(Batch { reads: batch });
-                window_batches += 1;
-            }
-            batches_dispatched += window_batches;
-            batches_since_checkpoint += window_batches;
-
-            // Window barrier: every dispatched batch reports back.
-            let mut window_reads_done = 0usize;
-            for _ in 0..window_batches {
-                let done = done_rx.recv().expect("workers outlive the scheduler");
-                mapped_total += done.mapped;
-                window_reads_done += done.reads;
-            }
-            debug_assert_eq!(window_reads_done, window_len);
-            cursor += window_len;
-
-            // Periodic checkpoint, at a barrier so the snapshot is
-            // consistent with the cursor.
-            if let Some(policy) = &sc.checkpoint {
-                if batches_since_checkpoint >= policy.every_batches {
-                    checkpoint::save(
-                        &policy.path,
-                        &Checkpoint {
-                            cursor,
-                            reads_mapped: mapped_total,
-                            counts: sharded.snapshot_counts(),
-                        },
-                    )?;
-                    checkpoints_written += 1;
-                    batches_since_checkpoint = 0;
-                    observer.emit(|| Event::Checkpoint {
-                        cursor: cursor as u64,
-                        reads_mapped: mapped_total as u64,
-                    });
-                }
-            }
-
-            // Kill hook: die after the barrier, like a SIGKILL between
-            // windows — whatever checkpoint exists on disk is all a
-            // restart will see.
-            if let Some(limit) = sc.abort_after_batches {
-                if batches_dispatched >= limit {
-                    aborted = true;
-                    break 'windows;
-                }
-            }
         }
-
-        // Drain and stop: workers exit at the next Empty steal.
-        shutdown.store(true, Ordering::Release);
-        drop(chunk_rx); // unblock a source stuck on a full channel
-        let mut outcomes = Vec::with_capacity(sc.workers);
-        for w in workers {
-            outcomes.push(w.join().expect("worker panicked"));
-        }
-        Ok(outcomes)
-    })?;
+    }
     map_timer.finish(observer);
 
-    if let Some(e) = source_error.into_inner() {
+    if let Some(e) = source_error {
         return Err(e);
     }
     if aborted {
         return Err(ExecError::Aborted { cursor });
     }
 
-    let rank_cpu_secs: Vec<f64> = worker_outcomes.iter().map(|&(cpu, _)| cpu).collect();
-    let worker_stall_secs: f64 = worker_outcomes.iter().map(|&(_, stall)| stall).sum();
+    let rank_cpu_secs: Vec<f64> = workers.iter().map(|w| w.cpu_secs).collect();
     let stats = StreamStats {
         workers: sc.workers,
         batch_size: sc.batch_size,
@@ -373,14 +271,6 @@ pub fn run_stream<A: GenomeAccumulator>(
         } else {
             reads_dispatched as f64 / (batches_dispatched * sc.batch_size) as f64
         },
-        max_queue_depth,
-        mean_queue_depth: if queue_samples == 0 {
-            0.0
-        } else {
-            queue_depth_sum as f64 / queue_samples as f64
-        },
-        source_stall_secs: source_stall_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-        worker_stall_secs,
         checkpoints_written,
         resumed_from_checkpoint: resumed,
     };
@@ -466,7 +356,6 @@ mod tests {
         let sc = StreamConfig {
             workers: 2,
             batch_size: 16,
-            chunk_size: 32,
             ..Default::default()
         };
         let report = run_stream::<FixedAccumulator>(
@@ -506,12 +395,11 @@ mod tests {
             )
             .unwrap()
         };
-        for (workers, batch_size, chunk_size) in [(2, 8, 16), (3, 31, 7), (4, 64, 500)] {
+        for (workers, batch_size) in [(2, 8), (3, 31), (4, 64)] {
             let mut s = MemoryStream::new(reads.clone());
             let sc = StreamConfig {
                 workers,
                 batch_size,
-                chunk_size,
                 ..Default::default()
             };
             let r =
@@ -519,7 +407,7 @@ mod tests {
                     .unwrap();
             assert_eq!(
                 r.calls, baseline.calls,
-                "workers={workers} batch={batch_size} chunk={chunk_size}"
+                "workers={workers} batch={batch_size}"
             );
             assert_eq!(r.reads_mapped, baseline.reads_mapped);
         }
@@ -547,7 +435,6 @@ mod tests {
         let sc = StreamConfig {
             workers: 2,
             batch_size: 16,
-            chunk_size: 32,
             checkpoint: Some(CheckpointPolicy {
                 path: dir.join("cp.bin"),
                 every_batches: 2,
@@ -602,7 +489,6 @@ mod tests {
         let sc = StreamConfig {
             workers: 1,
             batch_size: 8,
-            chunk_size: 8,
             abort_after_batches: Some(3),
             ..Default::default()
         };

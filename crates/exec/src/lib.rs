@@ -9,13 +9,14 @@
 //! read source** instead:
 //!
 //! * [`stream`] — a chunked [`stream::ReadStream`] trait with FASTQ-file,
-//!   simulator-backed and in-memory implementations, feeding a bounded
-//!   channel so a slow consumer applies backpressure to the source. The
-//!   FASTQ one parses nothing itself: it chunks `genome::fastq`'s one
-//!   parser, so a file is accepted or rejected as on every other path;
-//! * [`driver`] — a batch scheduler that groups arriving reads into
-//!   length-sorted micro-batches and dispatches them to a work-stealing
-//!   worker pool;
+//!   simulator-backed and in-memory implementations, pulled one window
+//!   at a time so memory stays bounded. The FASTQ one parses nothing
+//!   itself: it chunks `genome::fastq`'s one parser, so a file is
+//!   accepted or rejected as on every other path;
+//! * [`driver`] — a batch scheduler on the caller's thread that groups
+//!   arriving reads into length-sorted micro-batches, runs each window's
+//!   batches on scoped worker threads and reads the next window
+//!   meanwhile;
 //! * [`sharded`] — a striped-lock wrapper over any
 //!   [`gnumap_core::accum::GenomeAccumulator`], so workers deposit evidence
 //!   concurrently without a global merge barrier;

@@ -1,7 +1,7 @@
 //! Striped-lock accumulator for concurrent deposits.
 //!
 //! The genome is cut into `shard_count` contiguous position ranges, each
-//! guarded by its own `parking_lot::Mutex` around an ordinary
+//! guarded by its own `std::sync::Mutex` around an ordinary
 //! [`GenomeAccumulator`] covering just that range. A deposit locks only
 //! the shard(s) its window overlaps — almost always one, occasionally two
 //! at a boundary — so workers mapping different genome regions never
@@ -11,7 +11,7 @@
 use gnumap_core::accum::{GenomeAccumulator, NUM_SYMBOLS};
 use gnumap_core::pipeline::{deposit, EvidenceSink};
 use pairhmm::marginal::ColumnPosterior;
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// A genome-length accumulator striped across independently locked shards.
 pub struct ShardedAccumulator<A> {
@@ -82,7 +82,7 @@ impl<A: GenomeAccumulator> ShardedAccumulator<A> {
             let si = self.shard_of(pos);
             let shard_start = self.starts[si];
             let stop = end.min(self.shard_end(si));
-            let mut guard = self.shards[si].lock();
+            let mut guard = lock(&self.shards[si]);
             deposit(
                 &mut *guard,
                 pos - shard_start,
@@ -100,7 +100,7 @@ impl<A: GenomeAccumulator> ShardedAccumulator<A> {
     pub fn snapshot_counts(&self) -> Vec<[f64; NUM_SYMBOLS]> {
         let mut out = Vec::with_capacity(self.len);
         for (i, shard) in self.shards.iter().enumerate() {
-            let guard = shard.lock();
+            let guard = lock(shard);
             for local in 0..self.shard_end(i) - self.starts[i] {
                 out.push(guard.counts(local));
             }
@@ -114,7 +114,7 @@ impl<A: GenomeAccumulator> ShardedAccumulator<A> {
         assert_eq!(counts.len(), self.len, "snapshot length mismatch");
         for (i, shard) in self.shards.iter().enumerate() {
             let start = self.starts[i];
-            let mut guard = shard.lock();
+            let mut guard = lock(shard);
             for local in 0..self.shard_end(i) - start {
                 let c = &counts[start + local];
                 if c.iter().sum::<f64>() > 0.0 {
@@ -132,7 +132,7 @@ impl<A: GenomeAccumulator> ShardedAccumulator<A> {
         let mut full = A::new(self.len);
         for (i, shard) in self.shards.into_iter().enumerate() {
             let start = self.starts[i];
-            let acc = shard.into_inner();
+            let acc = shard.into_inner().expect(POISONED);
             for local in 0..acc.len() {
                 let c = acc.counts(local);
                 if c.iter().sum::<f64>() > 0.0 {
@@ -145,9 +145,17 @@ impl<A: GenomeAccumulator> ShardedAccumulator<A> {
 
     /// Total heap bytes across shards.
     pub fn heap_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().heap_bytes()).sum()
+        self.shards.iter().map(|s| lock(s).heap_bytes()).sum()
     }
 }
+
+/// Lock a shard. A depositor that panicked while holding it may have left
+/// a deposit half done, so poison is fatal.
+fn lock<A>(shard: &Mutex<A>) -> MutexGuard<'_, A> {
+    shard.lock().expect(POISONED)
+}
+
+const POISONED: &str = "a depositor panicked while holding an accumulator shard";
 
 /// Workers share one striped accumulator, so the map → deposit body's
 /// sink is a shared reference.

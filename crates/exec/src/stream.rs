@@ -1,8 +1,8 @@
 //! Chunked read sources.
 //!
 //! A [`ReadStream`] hands out reads in chunks rather than as one giant
-//! slice, so the engine's memory footprint is bounded by the channel
-//! capacity × chunk size, not by the input size. `skip` exists for
+//! slice, so the engine's memory footprint is bounded by the two
+//! scheduling windows it holds, not by the input size. `skip` exists for
 //! checkpoint resume: a restarted run fast-forwards the source to the
 //! saved cursor, and every implementation guarantees that
 //! `skip(n)` + `next_chunk(..)` yields exactly the reads an uninterrupted

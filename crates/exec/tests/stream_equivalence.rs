@@ -4,7 +4,9 @@
 //! batch size, and checkpoint/kill/resume split. Integer accumulation
 //! makes this bit-exact, not approximately equal.
 
-use exec::{run_stream, CheckpointPolicy, ExecError, FastqStream, MemoryStream, StreamConfig};
+use exec::{
+    run_stream, CheckpointPolicy, ExecError, FastqStream, MemoryStream, ReadStream, StreamConfig,
+};
 use genome::{DnaSeq, SequencedRead};
 use gnumap_core::accum::{AccumulatorMode, FixedAccumulator};
 use gnumap_core::pipeline::run_pipeline;
@@ -14,6 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
 use simulate::{GenomeConfig, PlantedSnp, SnpCatalogConfig};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 struct Workload {
     reference: DnaSeq,
@@ -87,8 +90,6 @@ fn small_windows() -> StreamConfig {
     StreamConfig {
         workers: 2,
         batch_size: 16,
-        chunk_size: 32,
-        batches_per_worker: 2,
         ..Default::default()
     }
 }
@@ -118,12 +119,11 @@ fn stream_calls_match_serial_bit_exactly() {
     let w = workload();
     let serial = serial_reference();
     let config = GnumapConfig::default();
-    for (workers, batch_size, chunk_size) in [(1, 64, 256), (2, 32, 64), (4, 128, 100)] {
+    for (workers, batch_size) in [(1, 64), (2, 32), (4, 128)] {
         let mut stream = MemoryStream::new(w.reads.clone());
         let sc = StreamConfig {
             workers,
             batch_size,
-            chunk_size,
             ..Default::default()
         };
         let report = run_stream::<FixedAccumulator>(
@@ -136,7 +136,7 @@ fn stream_calls_match_serial_bit_exactly() {
         .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
         assert_eq!(
             report.calls, serial.calls,
-            "calls diverged at workers={workers} batch={batch_size} chunk={chunk_size}"
+            "calls diverged at workers={workers} batch={batch_size}"
         );
         assert_eq!(report.reads_processed, w.reads.len());
         assert_eq!(report.reads_mapped, serial.reads_mapped);
@@ -269,4 +269,57 @@ fn resume_without_checkpoint_file_starts_from_scratch() {
     assert!(!stats.resumed_from_checkpoint);
     assert_eq!(stats.checkpoints_written, 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A source that takes `delay` to produce each chunk of at most `per_call`
+/// reads, like a slow disk or network feed.
+struct SlowStream {
+    inner: MemoryStream,
+    per_call: usize,
+    delay: Duration,
+}
+
+impl ReadStream for SlowStream {
+    fn next_chunk(&mut self, max: usize) -> Result<Vec<SequencedRead>, ExecError> {
+        std::thread::sleep(self.delay);
+        self.inner.next_chunk(max.min(self.per_call))
+    }
+
+    fn skip(&mut self, n: usize) -> Result<(), ExecError> {
+        self.inner.skip(n)
+    }
+}
+
+#[test]
+fn idle_workers_do_not_burn_cpu_while_the_source_is_slow() {
+    let w = workload();
+    // Eight windows of 2 workers × 2 batches × 4 reads, one 30 ms chunk
+    // per window: the run is mostly waiting on the source.
+    let sc = StreamConfig {
+        workers: 2,
+        batch_size: 4,
+        ..Default::default()
+    };
+    let window = 16;
+    let mut stream = SlowStream {
+        inner: MemoryStream::new(w.reads[..8 * window].to_vec()),
+        per_call: window,
+        delay: Duration::from_millis(30),
+    };
+    let started = Instant::now();
+    let report = run_stream::<FixedAccumulator>(
+        &w.reference,
+        &mut stream,
+        &GnumapConfig::default(),
+        &sc,
+        &Observer::disabled(),
+    )
+    .unwrap();
+    let wall = started.elapsed().as_secs_f64();
+    assert_eq!(report.reads_processed, 8 * window);
+    let cpu: f64 = report.rank_cpu_secs.iter().sum();
+    assert!(
+        cpu < wall / 4.0,
+        "workers used {cpu:.3} CPU-s over a {wall:.3} s run that mostly waits on its source"
+    );
 }

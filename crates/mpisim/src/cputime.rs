@@ -13,7 +13,16 @@
 
 /// CPU seconds consumed by the calling thread so far, or `None` when the
 /// kernel interface is unavailable.
+///
+/// The kernel adds a running thread's current time slice to its
+/// schedstat only at a scheduler tick or a context switch, so a thread
+/// that reads its own figure can miss up to a tick (several ms) of work.
+/// That is noise for a thread timed once over a whole run, but a thread
+/// that lives for one short scheduling window would be undercounted
+/// several-fold. Yielding first makes the kernel account the slice so
+/// far.
 pub fn thread_cpu_seconds() -> Option<f64> {
+    std::thread::yield_now();
     if let Ok(text) = std::fs::read_to_string("/proc/thread-self/schedstat") {
         if let Some(ns) = text
             .split_whitespace()

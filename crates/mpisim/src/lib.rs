@@ -3,7 +3,7 @@
 //! The paper parallelises GNUMAP-SNP with MPI in two decompositions
 //! (read-split and genome-split). This crate reproduces the programming
 //! model on one machine: every *rank* is an OS thread, point-to-point messages
-//! travel over unbounded channels, and the collectives (barrier, broadcast,
+//! travel over unbounded `std::sync::mpsc` channels, and the collectives (barrier, broadcast,
 //! gather, reduce, allreduce) are built on top of the point-to-point layer
 //! exactly as a simple MPI implementation would.
 //!

@@ -2,8 +2,8 @@
 
 use crate::stats::{SharedStats, TrafficStats};
 use crate::wire::WireSize;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::any::Any;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 
 /// A message in flight.
@@ -68,7 +68,7 @@ impl World {
         let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(n);
         let mut receivers: Vec<Option<Receiver<Envelope>>> = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(Some(rx));
         }

@@ -10,6 +10,10 @@ use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// Reads per submit when a client streams a read file: the loopback
+/// server driver's chunk and `gnumap client --chunk-size`'s default.
+pub const SUBMIT_CHUNK_READS: usize = 256;
+
 /// Pause before each retry in [`Client::submit_reads_retrying`].
 pub const BUSY_RETRY_PAUSE: Duration = Duration::from_millis(50);
 

@@ -26,7 +26,7 @@ pub mod queue;
 pub mod server;
 pub mod session;
 
-pub use client::{Client, ClientError};
+pub use client::{Client, ClientError, SUBMIT_CHUNK_READS};
 pub use metrics::StatsSnapshot;
 pub use protocol::{CallResult, ErrorKind, ProtocolError, Request, Response, SessionConfig};
 pub use server::{start, ServerConfig, ServerHandle};

@@ -613,7 +613,6 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
                 &mut scratch,
             );
             let mapped = read.mapped > 0;
-            item.session.complete_read(mapped);
             shared
                 .metrics
                 .reads_processed
@@ -624,6 +623,9 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
             shared
                 .metrics
                 .observe_latency_micros(item.enqueued.elapsed().as_micros() as u64);
+            // Last: completing the session's final read wakes its
+            // finalize, whose caller may read these metrics at once.
+            item.session.complete_read(mapped);
             counts += read;
         }
         shared

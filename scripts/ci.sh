@@ -62,6 +62,28 @@ for driver in serial rayon read-split read-split-ring genome-split stream server
     }
 done
 
+echo "==> bit-identity smoke: serial vs stream vs checkpointed stream, fixed point"
+# The FIXED-accumulator contract at the CLI: the streaming engine, with
+# and without checkpoints, writes the serial driver's VCF byte for byte.
+# The checkpointed run uses 4-read batches so that its ~190 batches
+# cross the CLI's 64-batch checkpoint interval.
+fixed_call() {
+    local out="$1"; shift
+    target/release/gnumap call --reference "$trace_dir/reference.fa" \
+        --reads "$trace_dir/reads.fq" --out "$trace_dir/$out" \
+        --accumulator fixed "$@"
+}
+rm -rf "$trace_dir/ckpt"
+fixed_call fixed.serial.vcf --driver serial >/dev/null
+fixed_call fixed.stream.vcf --driver stream --workers 2 --batch-size 16 >/dev/null
+ckpt_summary="$(fixed_call fixed.stream-ckpt.vcf --driver stream --workers 2 \
+    --batch-size 4 --checkpoint-dir "$trace_dir/ckpt")"
+grep -q ' [1-9][0-9]* checkpoints' <<<"$ckpt_summary" || {
+    echo "the checkpointed stream run wrote no checkpoint: $ckpt_summary"; exit 1;
+}
+cmp "$trace_dir/fixed.serial.vcf" "$trace_dir/fixed.stream.vcf"
+cmp "$trace_dir/fixed.serial.vcf" "$trace_dir/fixed.stream-ckpt.vcf"
+
 echo "==> fastq smoke: CRLF line endings and trailing spaces, serial vs stream"
 # One FASTQ parser serves every driver: a copy of the reads with a
 # trailing space and a CR on every line must map identically both ways.

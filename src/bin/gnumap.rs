@@ -13,8 +13,6 @@ fn main() {
     let mut stdout = std::io::stdout().lock();
     if let Err(message) = gnumap_snp::cli::run(&argv, &mut stdout) {
         eprintln!("gnumap: {message}");
-        eprintln!();
-        eprint!("{}", gnumap_snp::cli::USAGE);
-        std::process::exit(2);
+        std::process::exit(1);
     }
 }

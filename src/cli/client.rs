@@ -14,7 +14,7 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
     let alpha = parse_float_opt(args, "alpha")?;
     let fdr = parse_float_opt(args, "fdr")?;
     let min_coverage: f64 = args.get("min-coverage", 3.0f64)?;
-    let chunk_size: usize = args.get("chunk-size", 256usize)?;
+    let chunk_size: usize = args.get("chunk-size", server::SUBMIT_CHUNK_READS)?;
     let deadline_ms: u32 = args.get("deadline-ms", 0u32)?;
     let out_path = args.optional("out");
     let chrom: String = args.get("chrom", "chrSim".to_string())?;

@@ -141,7 +141,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), String> {
     }
 }
 
-/// Usage text for `--help` / errors.
+/// Usage text for `--help` and a bare `gnumap`.
 pub const USAGE: &str = "\
 gnumap — Pair-HMM SNP detection (GNUMAP-SNP reproduction)
 

@@ -351,3 +351,30 @@ fn quality_aware_calling_beats_quality_blind_data() {
         "honest qualities should not increase FPs: {acc_honest:?} vs {acc_lying:?}"
     );
 }
+
+#[test]
+fn call_reports_a_bad_fastq_in_one_line_and_exits_1() {
+    let dir = std::env::temp_dir().join(format!("gnumap-bad-fastq-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let reference = dir.join("reference.fa");
+    let reads = dir.join("reads.fq");
+    std::fs::write(&reference, ">chr\nACGTACGTACGTACGTACGT\n").unwrap();
+    std::fs::write(&reads, "@r1\nACGT\n+\nII\u{1}I\n").unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_gnumap"))
+        .arg("call")
+        .arg("--reference")
+        .arg(&reference)
+        .arg("--reads")
+        .arg(&reads)
+        .arg("--out")
+        .arg(dir.join("calls.vcf"))
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.starts_with("gnumap: "), "{stderr}");
+    assert!(stderr.contains("line 4"), "{stderr}");
+    assert!(!stderr.contains("USAGE"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
